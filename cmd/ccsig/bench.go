@@ -18,8 +18,7 @@ import (
 func benchCmd(args []string) {
 	fs := newFlagSet("bench", "[-rev LABEL] [-reps N] [-min-time D] [-only name,...] [-list] -o BENCH_rev.json")
 	rev := fs.String("rev", "unversioned", "revision label stamped into the artifact (e.g. a git short hash)")
-	count := fs.Int("count", 1, "deprecated alias for -reps")
-	reps := fs.Int("reps", 0, "minimum repetitions per benchmark; the fastest repetition is recorded, all are kept as the spread")
+	reps := fs.Int("reps", 1, "minimum repetitions per benchmark; the fastest repetition is recorded, all are kept as the spread")
 	minTime := fs.Duration("min-time", 0, "keep repeating each benchmark until this much total measured time accrues (e.g. 5s)")
 	only := fs.String("only", "", "comma-separated benchmark names to run (default: all)")
 	list := fs.Bool("list", false, "list available benchmark names and exit")
@@ -39,18 +38,11 @@ func benchCmd(args []string) {
 	if *out == "" {
 		badUsage(fs, "-o is required")
 	}
-	if *count < 1 {
-		badUsage(fs, "-count must be >= 1")
-	}
-	if *reps < 0 {
+	if *reps < 1 {
 		badUsage(fs, "-reps must be >= 1")
 	}
 	if *minTime < 0 {
 		badUsage(fs, "-min-time must be >= 0")
-	}
-	nReps := *count
-	if *reps > 0 {
-		nReps = *reps
 	}
 
 	selected := all
@@ -74,7 +66,7 @@ func benchCmd(args []string) {
 
 	results := make([]telemetry.BenchResult, 0, len(selected))
 	for _, bm := range selected {
-		runs := benchkit.Measure(bm.Fn, benchkit.RunOptions{Reps: nReps, MinTime: *minTime})
+		runs := benchkit.Measure(bm.Fn, benchkit.RunOptions{Reps: *reps, MinTime: *minTime})
 		bestRep := benchkit.Best(runs)
 		best := telemetry.BenchResult{
 			Name:        bm.Name,

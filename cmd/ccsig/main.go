@@ -12,7 +12,7 @@
 //	ccsig conformance [-seed N] [-j N] [-o report.json]
 //	ccsig trace [-seed N] [-cong N] -o trace.json
 //	ccsig metrics [-seed N] [-scenario both]
-//	ccsig bench [-rev LABEL] [-count N] -o BENCH_rev.json
+//	ccsig bench [-rev LABEL] [-reps N] -o BENCH_rev.json
 //	ccsig benchdiff [-advisory] old.json new.json
 //	ccsig checkmetrics [file]
 //

@@ -134,7 +134,7 @@ func TestSubcommandUsageErrors(t *testing.T) {
 		{name: "conformance stray args", args: []string{"conformance", "stray"}, wantErr: "unexpected arguments"},
 		{name: "conformance bad seeds", args: []string{"conformance", "-generate", "-seeds", "1,x"}, wantErr: `bad -seeds entry "x"`},
 		{name: "bench without output", args: []string{"bench"}, wantErr: "-o is required"},
-		{name: "bench bad count", args: []string{"bench", "-count", "0", "-o", "x.json"}, wantErr: "-count must be >= 1"},
+		{name: "bench bad count", args: []string{"bench", "-reps", "0", "-o", "x.json"}, wantErr: "-reps must be >= 1"},
 		{name: "benchdiff one arg", args: []string{"benchdiff", "old.json"}, wantErr: "want exactly two artifact paths"},
 	}
 	for _, c := range cases {

@@ -7,11 +7,9 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sync"
 	"time"
 
 	"tcpsig"
-	"tcpsig/internal/netem"
 	"tcpsig/internal/pcap"
 	"tcpsig/internal/stream"
 	"tcpsig/internal/telemetry"
@@ -156,14 +154,6 @@ func serveCmd(args []string) {
 	admin := startAdmin(*adminAddr)
 	defer admin.Close()
 
-	// The original-address map mirrors ClassifyPcap: emulator flow keys
-	// truncate addresses to 24 bits, the map restores full dotted quads.
-	// The reader goroutine writes it while the pump's drain goroutine
-	// reads it in Emit, hence the lock.
-	const maxFlowIPs = 1 << 16
-	fullIPs := make(map[netem.FlowKey][2]uint32)
-	var ipMu sync.Mutex
-
 	var writeErr error
 	verdicts := 0
 	emit := func(res stream.FlowResult) {
@@ -174,12 +164,6 @@ func serveCmd(args []string) {
 			DstPort: uint16(res.Flow.DstPort),
 			Verdict: res.Verdict,
 			Err:     res.Err,
-		}
-		ipMu.Lock()
-		ips, ok := fullIPs[res.Flow]
-		ipMu.Unlock()
-		if ok {
-			fv.SrcIP, fv.DstIP = ipString4(ips[0]), ipString4(ips[1])
 		}
 		if err := writeVerdictNDJSON(bw, fv); err != nil && writeErr == nil {
 			writeErr = err
@@ -218,17 +202,6 @@ func serveCmd(args []string) {
 			break
 		}
 		records++
-		key := netem.FlowKey{
-			SrcAddr: pcap.IPToAddr(rec.SrcIP),
-			DstAddr: pcap.IPToAddr(rec.DstIP),
-			SrcPort: netem.Port(rec.SrcPort),
-			DstPort: netem.Port(rec.DstPort),
-		}
-		ipMu.Lock()
-		if _, ok := fullIPs[key]; !ok && len(fullIPs) < maxFlowIPs {
-			fullIPs[key] = [2]uint32{rec.SrcIP, rec.DstIP}
-		}
-		ipMu.Unlock()
 		crec := pcap.RecordToCapture(rec, ip)
 		if *replay {
 			if !first {

@@ -1,5 +1,5 @@
 // Command sigcheck runs the repo's determinism, numeric-safety,
-// concurrency-safety, and allocation analyzers (see internal/analysis and
+// concurrency-safety, and bounded-growth analyzers (see internal/analysis and
 // DESIGN.md "Determinism & numeric invariants"). It supports two modes:
 //
 //	go run ./cmd/sigcheck              # standalone over ./..., non-test files
@@ -32,7 +32,6 @@ import (
 	"tcpsig/internal/analysis/errtaxonomy"
 	"tcpsig/internal/analysis/floatsafe"
 	"tcpsig/internal/analysis/goroutinesafe"
-	"tcpsig/internal/analysis/hotpathalloc"
 	"tcpsig/internal/analysis/maporder"
 	"tcpsig/internal/analysis/simdeterminism"
 )
@@ -43,7 +42,7 @@ import (
 // results for unchanged packages. The convention is v<major>-<suite>:
 // major increments with the analyzer roster, the suffix names what the
 // suite now covers.
-const version = "v3-concurrency-alloc-suite"
+const version = "v4-concurrency-suite"
 
 var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
@@ -52,7 +51,6 @@ var analyzers = []*analysis.Analyzer{
 	errtaxonomy.Analyzer,
 	goroutinesafe.Analyzer,
 	atomicmix.Analyzer,
-	hotpathalloc.Analyzer,
 	boundedgrowth.Analyzer,
 }
 

@@ -203,9 +203,7 @@ func (s ignoreSet) match(analyzer string, posn token.Position) bool {
 }
 
 // collectIgnores gathers the //sigcheck:ignore exemptions plus the
-// positions of ignores that violate the contract: no "-- reason" text
-// (other annotation comments, e.g. //sigcheck:hotpath, are not ignores
-// and are not collected here).
+// positions of ignores that violate the contract: no "-- reason" text.
 func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []token.Pos) {
 	out := ignoreSet{}
 	var bare []token.Pos

@@ -68,20 +68,24 @@ func EngineEvents(b *testing.B) {
 	}
 }
 
+// dropTailLink is the gigabit drop-tail link the registered NetemEnqueue
+// bodies measure.
+func dropTailLink(*sim.Engine) netem.LinkConfig {
+	return netem.LinkConfig{RateBps: 1e9, Queue: netem.NewDropTail(1 << 20)}
+}
+
 // netemEnqueue drives the link admission/serialization hot path: pooled
-// packets are pushed through a gigabit link and the engine drains
-// deliveries (and buffer releases — the dequeue path) every 256 sends,
-// returning the packets to the network free list.
-func netemEnqueue(b *testing.B, sink *obs.Sink) {
+// packets are pushed through the src→dst link that link configures, and
+// the engine drains deliveries (and buffer releases — the dequeue path)
+// every 256 sends, returning the packets to the network free list.
+func netemEnqueue(b *testing.B, sink *obs.Sink, link func(*sim.Engine) netem.LinkConfig) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	obs.Attach(eng, sink)
 	net := netem.New(eng)
 	src := net.NewHost("src")
 	dst := net.NewHost("dst")
-	toDst, _ := net.Connect(src, dst,
-		netem.LinkConfig{RateBps: 1e9, Queue: netem.NewDropTail(1 << 20)},
-		netem.LinkConfig{RateBps: 1e9})
+	toDst, _ := net.Connect(src, dst, link(eng), netem.LinkConfig{RateBps: 1e9})
 	flow := netem.FlowKey{SrcAddr: src.Addr(), DstAddr: dst.Addr(), SrcPort: 1, DstPort: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,11 +101,11 @@ func netemEnqueue(b *testing.B, sink *obs.Sink) {
 
 // NetemEnqueue is the disabled-sink baseline: the observability layer
 // must cost ~nothing here (a nil check per event).
-func NetemEnqueue(b *testing.B) { netemEnqueue(b, nil) }
+func NetemEnqueue(b *testing.B) { netemEnqueue(b, nil, dropTailLink) }
 
 // NetemEnqueueTraced measures the same path with tracing on.
 func NetemEnqueueTraced(b *testing.B) {
-	netemEnqueue(b, &obs.Sink{Trace: obs.NewTracer(0)})
+	netemEnqueue(b, &obs.Sink{Trace: obs.NewTracer(0)}, dropTailLink)
 }
 
 // senderStep measures the steady-state cost of one engine event during an
@@ -110,22 +114,44 @@ func NetemEnqueueTraced(b *testing.B) {
 // and then stepped one event per iteration, so per-connection setup cost
 // never pollutes the per-event figure and the loop body is a designated
 // zero-alloc path (pooled packets, recycled buffers, no per-event state).
-func senderStep(b *testing.B, attach bool) {
+//
+// With routed set, two downloads share the bottleneck through a router and
+// their ACKs return over a jittered link; FIFO delivery clamps jittered
+// ACKs onto one instant, as in the testbed's external scenario, so bursts
+// reach the server through Host.DeliverBatch and Sender.InputBatch.
+func senderStep(b *testing.B, attach, routed bool) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	if attach {
 		obs.Attach(eng, &obs.Sink{Trace: obs.NewTracer(0), Metrics: obs.NewRegistry()})
 	}
 	net := netem.New(eng)
-	client := net.NewHost("client")
 	server := net.NewHost("server")
 	q := netem.NewDropTailDepth(20e6, 100*time.Millisecond)
-	net.Connect(server, client,
-		netem.LinkConfig{RateBps: 20e6, Delay: 20 * time.Millisecond, Queue: q},
-		netem.LinkConfig{RateBps: 100e6, Delay: 20 * time.Millisecond})
 	// 10 hours of virtual transfer ≈ 250M events at this rate — far more
 	// than any benchtime will step through.
-	tcpsim.StartDownload(client, server, 40000, 80, tcpsim.Config{}, 0, 10*time.Hour)
+	if routed {
+		router := net.NewRouter("router")
+		net.Connect(server, router,
+			netem.LinkConfig{RateBps: 20e6, Delay: 10 * time.Millisecond, Queue: q},
+			netem.LinkConfig{RateBps: 100e6, Delay: 10 * time.Millisecond, Jitter: time.Millisecond})
+		clients := []*netem.Host{net.NewHost("client0"), net.NewHost("client1")}
+		for _, client := range clients {
+			net.Connect(router, client,
+				netem.LinkConfig{RateBps: 1e9, Delay: 10 * time.Millisecond},
+				netem.LinkConfig{RateBps: 1e9, Delay: 10 * time.Millisecond})
+		}
+		net.ComputeRoutes()
+		for i, client := range clients {
+			tcpsim.StartDownload(client, server, 40000, netem.Port(80+i), tcpsim.Config{}, 0, 10*time.Hour)
+		}
+	} else {
+		client := net.NewHost("client")
+		net.Connect(server, client,
+			netem.LinkConfig{RateBps: 20e6, Delay: 20 * time.Millisecond, Queue: q},
+			netem.LinkConfig{RateBps: 100e6, Delay: 20 * time.Millisecond})
+		tcpsim.StartDownload(client, server, 40000, 80, tcpsim.Config{}, 0, 10*time.Hour)
+	}
 	eng.RunFor(2 * time.Second) // past slow start, into steady state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -136,10 +162,10 @@ func senderStep(b *testing.B, attach bool) {
 }
 
 // SenderStep is the disabled-sink sender hot-path baseline.
-func SenderStep(b *testing.B) { senderStep(b, false) }
+func SenderStep(b *testing.B) { senderStep(b, false, false) }
 
 // SenderStepTraced measures the sender with tracing and metrics on.
-func SenderStepTraced(b *testing.B) { senderStep(b, true) }
+func SenderStepTraced(b *testing.B) { senderStep(b, true, false) }
 
 // EmulatedTransfer measures raw emulation speed: a 10-second 20 Mbps
 // throughput test per iteration.

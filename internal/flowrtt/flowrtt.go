@@ -94,8 +94,6 @@ func (f *FlowInfo) SlowStartDuration() time.Duration {
 }
 
 // ackedAt returns the cumulative acked bytes at time t.
-//
-//sigcheck:hotpath
 func (f *FlowInfo) ackedAt(t sim.Time) int64 {
 	// Binary search for the last point at or before t.
 	lo, hi := 0, len(f.AckCurve)
@@ -377,8 +375,6 @@ func Flows(records []netem.CaptureRecord) []netem.FlowKey {
 // place: the steady state (extending the frontier block) touches only
 // existing storage, so per-record tracking allocates nothing once the set
 // has reached its working size.
-//
-//sigcheck:hotpath
 func mergeRange(set []netem.SackBlock, start, end uint32) []netem.SackBlock {
 	if !seqLT32(start, end) {
 		return set
@@ -413,8 +409,6 @@ func mergeRange(set []netem.SackBlock, start, end uint32) []netem.SackBlock {
 }
 
 // coveredBytes sums the bytes covered by a SACK set.
-//
-//sigcheck:hotpath
 func coveredBytes(set []netem.SackBlock) int64 {
 	var n int64
 	for _, iv := range set {

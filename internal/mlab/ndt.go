@@ -166,7 +166,6 @@ func ping(client *netem.Host, clientPort netem.Port, server netem.Addr, serverPo
 	flow := netem.FlowKey{SrcAddr: client.Addr(), DstAddr: server, SrcPort: clientPort, DstPort: serverPort}
 	for i := 0; i < n; i++ {
 		seq := uint32(i + 1)
-		//sigcheck:ignore hotpathalloc -- one closure per latency probe at test setup; probe counts are tiny
 		eng.Schedule(time.Duration(i)*gap, func() {
 			pg.sentAt[seq] = eng.Now()
 			q := client.NewPacket()

@@ -145,8 +145,6 @@ func (l *Link) Src() Node { return l.src }
 
 // free returns a packet the link consumed (queue drop, wire loss) to the
 // owning network's pool.
-//
-//sigcheck:hotpath
 func (l *Link) free(p *Packet) {
 	if l.owner != nil {
 		l.owner.FreePacket(p)
@@ -155,8 +153,6 @@ func (l *Link) free(p *Packet) {
 
 // drainReleases returns buffer bytes for packets that have finished
 // serializing by now.
-//
-//sigcheck:hotpath
 func (l *Link) drainReleases() {
 	now := l.eng.Now()
 	for l.releaseHead < len(l.releases) && l.releases[l.releaseHead].at <= now {
@@ -181,8 +177,6 @@ func (l *Link) drainReleases() {
 
 // Send enqueues a packet for transmission. Drops are silent, as on a real
 // wire; senders learn about them from missing ACKs.
-//
-//sigcheck:hotpath
 func (l *Link) Send(p *Packet) {
 	l.stats.Sent++
 	if l.Tap != nil {
@@ -297,7 +291,6 @@ func (l *Link) Send(p *Packet) {
 			l.stats.Corrupted++
 			dp = corruptCopy(p)
 		}
-		//sigcheck:ignore hotpathalloc -- reordering is a configured fault path, off in the common case; the out-of-band closure is what lets the packet bypass the FIFO pipeline
 		l.eng.At(deliverAt+act.ExtraDelay, func() {
 			l.stats.Delivered++
 			l.stats.BytesDelivered += uint64(dp.Size)
@@ -306,7 +299,6 @@ func (l *Link) Send(p *Packet) {
 		if act.Duplicate {
 			l.stats.Duplicated++
 			dup := clonePacket(p)
-			//sigcheck:ignore hotpathalloc -- duplication is a configured fault path; the copy needs its own out-of-band delivery closure
 			l.eng.At(deliverAt+act.ExtraDelay, func() {
 				l.stats.Delivered++
 				l.stats.BytesDelivered += uint64(dup.Size)
@@ -356,8 +348,6 @@ func (l *Link) Send(p *Packet) {
 // engine dispatched this event at the head's timestamp), so they form one
 // arrival burst: the link collects them and hands the whole group to a
 // batch-aware destination in a single call.
-//
-//sigcheck:hotpath
 func (l *Link) deliverHead() {
 	now := l.eng.Now()
 	batch := l.batch[:0]

@@ -145,8 +145,6 @@ func (h *Host) EnableCapture() *Capture {
 func (h *Host) NewPacket() *Packet { return h.net.NewPacket() }
 
 // Send stamps and transmits a packet through the host uplink.
-//
-//sigcheck:hotpath
 func (h *Host) Send(p *Packet) {
 	p.ID = h.net.nextPacketID()
 	p.SentAt = h.net.eng.Now()
@@ -154,7 +152,6 @@ func (h *Host) Send(p *Packet) {
 		h.capture.record(h.net.eng.Now(), DirOut, p)
 	}
 	if h.uplink == nil {
-		//sigcheck:ignore hotpathalloc -- crash path: the concatenation only evaluates when the topology is miswired
 		panic("netem: host " + h.name + " has no uplink")
 	}
 	h.uplink.Send(p)
@@ -162,8 +159,6 @@ func (h *Host) Send(p *Packet) {
 
 // Deliver implements Node. The bound receiver borrows the packet for the
 // Input call; afterwards it returns to the network pool.
-//
-//sigcheck:hotpath
 func (h *Host) Deliver(p *Packet) {
 	if h.capture != nil {
 		h.capture.record(h.net.eng.Now(), DirIn, p)
@@ -180,8 +175,6 @@ func (h *Host) Deliver(p *Packet) {
 // same-instant arrival burst are handed to the bound receiver in one
 // InputBatch call when it supports that, so a burst of ACKs costs one send
 // attempt instead of N.
-//
-//sigcheck:hotpath
 func (h *Host) DeliverBatch(ps []*Packet) {
 	for i := 0; i < len(ps); {
 		port := ps[i].Flow.DstPort
@@ -248,8 +241,6 @@ func (r *Router) AddRoute(dst Addr, link *Link) {
 
 // Deliver implements Node by forwarding; ownership passes to the next
 // link, or back to the pool when no route exists.
-//
-//sigcheck:hotpath
 func (r *Router) Deliver(p *Packet) {
 	link, ok := r.routes[p.Flow.DstAddr]
 	if !ok {

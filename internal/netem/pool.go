@@ -39,8 +39,6 @@ func SetDefaultPooling(on bool) bool { return defaultPooling.Swap(on) }
 // NewPacket returns a zeroed packet owned by the caller. Ownership passes
 // to the network when the packet is handed to Host.Send or Link.Send; the
 // network recycles it once it is dropped or consumed.
-//
-//sigcheck:hotpath
 func (n *Network) NewPacket() *Packet {
 	if last := len(n.freePkts) - 1; n.pooling && last >= 0 {
 		p := n.freePkts[last]
@@ -49,21 +47,17 @@ func (n *Network) NewPacket() *Packet {
 		p.free = false
 		return p
 	}
-	//sigcheck:ignore hotpathalloc -- pool miss: only during ramp-up (or with pooling disabled); the free list refills as packets complete the hand-off
 	return &Packet{}
 }
 
 // FreePacket returns p to the network's free list. Freeing the same packet
 // twice panics: a double free means two owners, which would silently
 // corrupt both once the packet is recycled.
-//
-//sigcheck:hotpath
 func (n *Network) FreePacket(p *Packet) {
 	if !n.pooling {
 		return
 	}
 	if p.free {
-		//sigcheck:ignore hotpathalloc -- crash path: only evaluated on an ownership bug, never in a healthy run
 		panic("netem: double free of packet " + p.String())
 	}
 	p.reset()

@@ -61,8 +61,6 @@ func NewDropTailDepth(rateBps float64, depth time.Duration) *DropTail {
 }
 
 // Admit implements Queue.
-//
-//sigcheck:hotpath
 func (q *DropTail) Admit(size int) bool {
 	if q.capBytes > 0 && q.bytes+size > q.capBytes {
 		q.Drops++
@@ -76,8 +74,6 @@ func (q *DropTail) Admit(size int) bool {
 }
 
 // Release implements Queue.
-//
-//sigcheck:hotpath
 func (q *DropTail) Release(size int) { q.bytes -= size }
 
 // Bytes implements Queue.
@@ -142,24 +138,18 @@ func NewRED(eng *sim.Engine, capBytes, minTh, maxTh int, maxP float64, rateBps f
 
 // AdmitMark reports both admission and whether the packet should be
 // ECN-marked. Links use this when the queue supports marking.
-//
-//sigcheck:hotpath
 func (q *RED) AdmitMark(size int) (admit, mark bool) {
 	admit = q.admit(size, &mark)
 	return admit, mark
 }
 
 // Admit implements Queue with RED's probabilistic early drop.
-//
-//sigcheck:hotpath
 func (q *RED) Admit(size int) bool {
 	var mark bool
 	return q.admit(size, &mark)
 }
 
 // admit is the shared RED admission decision; mark reports ECN marking.
-//
-//sigcheck:hotpath
 func (q *RED) admit(size int, mark *bool) bool {
 	if q.idle {
 		// Age the average across the idle period as if the queue had
@@ -224,8 +214,6 @@ func (q *RED) admit(size int, mark *bool) bool {
 }
 
 // Release implements Queue.
-//
-//sigcheck:hotpath
 func (q *RED) Release(size int) {
 	q.bytes -= size
 	if q.bytes <= 0 {
@@ -262,8 +250,6 @@ func NewTokenBucket(rateBps float64, burstBytes int) *TokenBucket {
 // size bytes, and commits the spend at that future time. It must be called
 // once per departing packet in departure order; now must not decrease across
 // calls.
-//
-//sigcheck:hotpath
 func (b *TokenBucket) ReadyAfter(now sim.Time, size int) time.Duration {
 	// Refill.
 	elapsed := now - b.last

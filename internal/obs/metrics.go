@@ -115,8 +115,6 @@ func equalBounds(a, b []float64) bool {
 type Counter struct{ v uint64 }
 
 // Inc adds one. Safe on nil.
-//
-//sigcheck:hotpath
 func (c *Counter) Inc() {
 	if c != nil {
 		c.v++
@@ -124,8 +122,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n. Safe on nil.
-//
-//sigcheck:hotpath
 func (c *Counter) Add(n uint64) {
 	if c != nil {
 		c.v += n
@@ -144,8 +140,6 @@ func (c *Counter) Value() uint64 {
 type Gauge struct{ v float64 }
 
 // Set replaces the value. Safe on nil.
-//
-//sigcheck:hotpath
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.v = v
@@ -153,8 +147,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add shifts the value. Safe on nil.
-//
-//sigcheck:hotpath
 func (g *Gauge) Add(d float64) {
 	if g != nil {
 		g.v += d
@@ -184,8 +176,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one sample. Safe on nil.
-//
-//sigcheck:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return

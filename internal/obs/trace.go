@@ -102,8 +102,6 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Emit records an event. Safe on nil.
-//
-//sigcheck:hotpath
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
@@ -112,8 +110,6 @@ func (t *Tracer) Emit(ev Event) {
 }
 
 // add stores into the ring, overwriting the oldest event once full.
-//
-//sigcheck:hotpath
 func (t *Tracer) add(ev Event) {
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, ev)
@@ -167,8 +163,6 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Enqueue records a buffer admission.
-//
-//sigcheck:hotpath
 func (t *Tracer) Enqueue(at sim.Time, comp string, bufBytes, size int) {
 	if t == nil {
 		return
@@ -177,8 +171,6 @@ func (t *Tracer) Enqueue(at sim.Time, comp string, bufBytes, size int) {
 }
 
 // Dequeue records a buffer release (serialization finished).
-//
-//sigcheck:hotpath
 func (t *Tracer) Dequeue(at sim.Time, comp string, bufBytes, size int) {
 	if t == nil {
 		return
@@ -187,8 +179,6 @@ func (t *Tracer) Dequeue(at sim.Time, comp string, bufBytes, size int) {
 }
 
 // Drop records a packet drop with its reason.
-//
-//sigcheck:hotpath
 func (t *Tracer) Drop(at sim.Time, comp, reason string, bufBytes, size int) {
 	if t == nil {
 		return
@@ -197,8 +187,6 @@ func (t *Tracer) Drop(at sim.Time, comp, reason string, bufBytes, size int) {
 }
 
 // ECNMark records an AQM congestion mark.
-//
-//sigcheck:hotpath
 func (t *Tracer) ECNMark(at sim.Time, comp string, bufBytes, size int) {
 	if t == nil {
 		return
@@ -207,8 +195,6 @@ func (t *Tracer) ECNMark(at sim.Time, comp string, bufBytes, size int) {
 }
 
 // Fault records a non-drop fault-injector action.
-//
-//sigcheck:hotpath
 func (t *Tracer) Fault(at sim.Time, comp, action string, extraDelayNs int64, size int) {
 	if t == nil {
 		return
@@ -217,8 +203,6 @@ func (t *Tracer) Fault(at sim.Time, comp, action string, extraDelayNs int64, siz
 }
 
 // Cwnd records a congestion-window update (ssthresh -1 = infinite).
-//
-//sigcheck:hotpath
 func (t *Tracer) Cwnd(at sim.Time, comp string, cwnd, ssthresh int64) {
 	if t == nil {
 		return
@@ -227,8 +211,6 @@ func (t *Tracer) Cwnd(at sim.Time, comp string, cwnd, ssthresh int64) {
 }
 
 // State records a sender state transition.
-//
-//sigcheck:hotpath
 func (t *Tracer) State(at sim.Time, comp, state string) {
 	if t == nil {
 		return
@@ -237,8 +219,6 @@ func (t *Tracer) State(at sim.Time, comp, state string) {
 }
 
 // RTO records a retransmission-timer firing ("rto" or "tlp").
-//
-//sigcheck:hotpath
 func (t *Tracer) RTO(at sim.Time, comp, kind string) {
 	if t == nil {
 		return
@@ -247,8 +227,6 @@ func (t *Tracer) RTO(at sim.Time, comp, kind string) {
 }
 
 // RTT records a round-trip-time sample.
-//
-//sigcheck:hotpath
 func (t *Tracer) RTT(at sim.Time, comp string, rtt sim.Time) {
 	if t == nil {
 		return

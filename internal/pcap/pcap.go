@@ -55,8 +55,10 @@ func (w *Writer) writeHeader() error {
 // addrToIP maps an emulator address into 10.0.0.0/8.
 func addrToIP(a netem.Addr) uint32 { return 0x0a000000 | uint32(a)&0x00ffffff }
 
-// IPToAddr inverts addrToIP for files we wrote ourselves.
-func IPToAddr(ip uint32) netem.Addr { return netem.Addr(ip & 0x00ffffff) }
+// IPToAddr keys a captured IPv4 address as a flow-key address. netem.Addr
+// is 32 bits wide, so the full address survives: distinct clients never
+// share a key, and verdicts render the address seen on the wire.
+func IPToAddr(ip uint32) netem.Addr { return netem.Addr(ip) }
 
 // WritePacket appends one emulator packet at time ts. Payload bytes are not
 // stored (zero snap beyond headers), like a tcpdump -s 54 capture; the IP

@@ -129,14 +129,19 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Round trip back into a capture preserving directions.
+	// Round trip back into a capture preserving directions. The writer maps
+	// emulator addresses into 10/8, and the reader keys the full address
+	// it finds on the wire.
 	back := ToCapture(recs, ServerIP(2))
 	for i := range back.Records {
 		if back.Records[i].Dir != capt.Records[i].Dir {
 			t.Fatalf("record %d direction flipped", i)
 		}
-		if back.Records[i].Pkt.Flow != capt.Records[i].Pkt.Flow {
-			t.Fatalf("record %d flow mismatch", i)
+		want := capt.Records[i].Pkt.Flow
+		want.SrcAddr = netem.Addr(addrToIP(want.SrcAddr))
+		want.DstAddr = netem.Addr(addrToIP(want.DstAddr))
+		if got := back.Records[i].Pkt.Flow; got != want {
+			t.Fatalf("record %d flow %+v, want %+v", i, got, want)
 		}
 	}
 }

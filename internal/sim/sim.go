@@ -84,8 +84,6 @@ func (e *Engine) less(i, j int) bool {
 }
 
 // push inserts an event into the 4-ary heap.
-//
-//sigcheck:hotpath
 func (e *Engine) push(ev schedEvent) {
 	e.q = append(e.q, ev)
 	if len(e.q) > e.maxPending {
@@ -103,8 +101,6 @@ func (e *Engine) push(ev schedEvent) {
 }
 
 // pop removes the earliest event from the 4-ary heap.
-//
-//sigcheck:hotpath
 func (e *Engine) pop() schedEvent {
 	top := e.q[0]
 	last := len(e.q) - 1
@@ -132,8 +128,6 @@ func (e *Engine) pop() schedEvent {
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero.
-//
-//sigcheck:hotpath
 func (e *Engine) Schedule(delay Time, fn Event) {
 	if delay < 0 {
 		delay = 0
@@ -143,8 +137,6 @@ func (e *Engine) Schedule(delay Time, fn Event) {
 
 // At runs fn at absolute virtual time t. Scheduling in the past clamps to
 // the current time.
-//
-//sigcheck:hotpath
 func (e *Engine) At(t Time, fn Event) {
 	if fn == nil {
 		panic("sim: nil event")
@@ -163,7 +155,6 @@ type Handle struct{ dead *bool }
 // It costs one small allocation; use plain Schedule on hot paths.
 func (e *Engine) ScheduleHandle(delay Time, fn Event) Handle {
 	dead := new(bool)
-	//sigcheck:ignore hotpathalloc -- cancellation costs one closure by design; the doc comment steers hot paths to plain Schedule
 	e.Schedule(delay, func() {
 		if !*dead {
 			*dead = true
@@ -190,15 +181,12 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // step executes the earliest pending event. It reports false when the queue
 // is empty.
-//
-//sigcheck:hotpath
 func (e *Engine) step() bool {
 	if len(e.q) == 0 {
 		return false
 	}
 	ev := e.pop()
 	if ev.at < e.now {
-		//sigcheck:ignore hotpathalloc -- unreachable in a correct run; the panic message only forms when the heap invariant is already broken
 		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
 	}
 	e.now = ev.at
@@ -279,7 +267,6 @@ func (t *Timer) schedule(at Time) {
 	g := t.gen
 	t.fireAt = at
 	t.armed = true
-	//sigcheck:ignore hotpathalloc -- timers re-arm at most once per RTO/TLP event, not per packet; the generation-check closure is the cancellation mechanism
 	t.eng.At(at, func() { t.onFire(g) })
 }
 

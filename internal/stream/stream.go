@@ -127,7 +127,6 @@ func (sh *shard) newEntry(t *Table, key netem.FlowKey) *entry {
 		sh.freeEnts[n-1] = nil
 		sh.freeEnts = sh.freeEnts[:n-1]
 	} else {
-		//sigcheck:ignore hotpathalloc -- pool miss (or recycling off): the entry has to come from somewhere once
 		e = &entry{}
 	}
 	*e = entry{flow: key, seq: t.nextSeq.Add(1) - 1}

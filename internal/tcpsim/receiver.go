@@ -257,7 +257,6 @@ func (r *Receiver) drainOOO() {
 	}
 }
 
-//sigcheck:hotpath
 func (r *Receiver) sendAck() {
 	r.delack.Stop()
 	r.unackedSeg = 0

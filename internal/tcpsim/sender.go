@@ -257,7 +257,6 @@ func (s *Sender) Close() {
 }
 
 func (s *Sender) armStop(d time.Duration) {
-	//sigcheck:ignore hotpathalloc -- armed once per connection when the duration-limited stream is set up, never per packet
 	s.eng.Schedule(d, func() {
 		if !s.done && s.unlimited {
 			s.unlimited = false
@@ -282,8 +281,6 @@ func (s *Sender) onSyn(p *netem.Packet) {
 }
 
 // Input processes an arriving packet (ACKs from the receiver).
-//
-//sigcheck:hotpath
 func (s *Sender) Input(p *netem.Packet) {
 	if s.processInput(p) {
 		s.trySend()
@@ -294,8 +291,6 @@ func (s *Sender) Input(p *netem.Packet) {
 // instant in one pass: per-ACK bookkeeping runs for each packet, but the
 // send attempt — a walk over windows, scoreboard and pacing — runs once for
 // the whole burst. For a burst of one this is exactly Input.
-//
-//sigcheck:hotpath
 func (s *Sender) InputBatch(ps []*netem.Packet) {
 	pending := false
 	for _, p := range ps {
@@ -327,8 +322,6 @@ func (s *Sender) InputBatch(ps []*netem.Packet) {
 
 // processInput is Input minus the trailing send attempt; it reports whether
 // the caller owes a trySend.
-//
-//sigcheck:hotpath
 func (s *Sender) processInput(p *netem.Packet) bool {
 	if p.Seg.Flags&netem.FlagSYN != 0 {
 		s.onSyn(p)
@@ -391,8 +384,6 @@ func (s *Sender) processInput(p *netem.Packet) bool {
 // only existing storage: extending or coalescing runs shrinks the slice,
 // and a true insertion shifts within capacity once the scoreboard has
 // grown to its working size.
-//
-//sigcheck:hotpath
 func (s *Sender) mergeSack(start, end uint32) {
 	if seqLEQ(end, s.sndUna) || seqGEQ(start, end) {
 		return
@@ -431,8 +422,6 @@ func (s *Sender) mergeSack(start, end uint32) {
 }
 
 // sackedBytes returns how many in-flight bytes the scoreboard marks received.
-//
-//sigcheck:hotpath
 func (s *Sender) sackedBytes() int64 {
 	var n int64
 	for _, iv := range s.sacked {
@@ -444,8 +433,6 @@ func (s *Sender) sackedBytes() int64 {
 // lostBytes estimates how many in-flight bytes are lost per the RFC 6675
 // IsLost heuristic: unsacked ranges with at least DupThresh (3) segments
 // worth of SACKed data above them.
-//
-//sigcheck:hotpath
 func (s *Sender) lostBytes() int64 {
 	if len(s.sacked) == 0 {
 		return 0
@@ -482,8 +469,6 @@ func (s *Sender) lostBytes() int64 {
 // in-flight minus SACKed minus presumed-lost, plus retransmitted copies.
 // Excluding lost bytes is what lets recovery drain an overflowed buffer
 // instead of stalling on an inflated estimate.
-//
-//sigcheck:hotpath
 func (s *Sender) pipeBytes() int {
 	fl := int64(s.bytesInFlight())
 	if s.cfg.DisableSACK {
@@ -512,8 +497,6 @@ func (s *Sender) inLossRecovery() bool { return seqLT(s.sndUna, s.rtoHigh) }
 // unsacked hole at or after max(sndUna, highRxt), below the repair horizon
 // (the highest SACKed byte in fast recovery, extended to the pre-timeout
 // send horizon in loss recovery).
-//
-//sigcheck:hotpath
 func (s *Sender) recoveryHole() (uint32, int, bool) {
 	if s.cfg.DisableSACK || (!s.inRecovery && !s.inLossRecovery()) {
 		return 0, 0, false
@@ -565,8 +548,6 @@ var _ CongestionControl = (*Reno)(nil)
 
 // onNewAck handles cumulative progress: RTT sampling, scoreboard trim,
 // congestion-control updates, and recovery exit.
-//
-//sigcheck:hotpath
 func (s *Sender) onNewAck(ack uint32) {
 	newly := seqDiff(ack, s.sndUna)
 	if newly < 0 {
@@ -662,8 +643,6 @@ func (s *Sender) onNewAck(ack uint32) {
 
 // armRetransmitTimer arms either a tail-loss probe (RFC 8985-style PTO of
 // roughly 2*SRTT) or the full RTO when a probe has already been spent.
-//
-//sigcheck:hotpath
 func (s *Sender) armRetransmitTimer() {
 	rto := s.rto.RTO()
 	if s.cfg.DisableTLP || s.tlpFired || s.inRecovery {
@@ -714,8 +693,6 @@ func (s *Sender) sendTLPProbe() {
 
 // rackCheck resends the front hole when its retransmission is presumed lost:
 // no cumulative progress for ~1.5 SRTT despite an earlier front retransmit.
-//
-//sigcheck:hotpath
 func (s *Sender) rackCheck() {
 	// Active in fast recovery and in post-timeout loss recovery (the
 	// window below rtoHigh), where new dup ACKs cannot re-trigger fast
@@ -736,8 +713,6 @@ func (s *Sender) rackCheck() {
 }
 
 // onDupAck counts duplicate ACKs toward fast retransmit.
-//
-//sigcheck:hotpath
 func (s *Sender) onDupAck() {
 	s.dupAcks++
 	if s.inRecovery {
@@ -871,8 +846,6 @@ func (s *Sender) recordSlowStartRTT(rtt time.Duration) {
 }
 
 // bytesInFlight is the unacknowledged sequence range.
-//
-//sigcheck:hotpath
 func (s *Sender) bytesInFlight() int {
 	fl := seqDiff(s.sndNxt, s.sndUna)
 	if fl < 0 {
@@ -925,8 +898,6 @@ func (s *Sender) retransmitRange(seq uint32, size int) {
 
 // trySend transmits as much as the windows (and pacing) allow, repairing
 // scoreboard holes before sending new data (RFC 6675 NextSeg order).
-//
-//sigcheck:hotpath
 func (s *Sender) trySend() {
 	if s.state != stEstablished && s.state != stFinSent || s.done {
 		return
@@ -972,7 +943,6 @@ func (s *Sender) trySend() {
 			if s.pacingNext > now {
 				if !s.pacingWakePending {
 					s.pacingWakePending = true
-					//sigcheck:ignore hotpathalloc -- at most one pacing wake-up is outstanding at a time (pacingWakePending); one closure per pacing stall, not per packet
 					s.eng.At(s.pacingNext, func() {
 						s.pacingWakePending = false
 						s.trySend()
@@ -1084,8 +1054,6 @@ func (s *Sender) beginLimited() {
 }
 
 // sendPacket builds and transmits one segment.
-//
-//sigcheck:hotpath
 func (s *Sender) sendPacket(seq, ack uint32, flags uint8, payload int, retx bool) {
 	if flags&netem.FlagACK != 0 && ack == 0 {
 		ack = s.irs + 1

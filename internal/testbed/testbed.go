@@ -273,7 +273,6 @@ func Run(cfg Config) (*Result, error) {
 		f := trafficgen.NewFetcher(pi1, 50000, tcpsim.Config{})
 		for i := 0; i < cfg.AccessCrossFlows; i++ {
 			d := time.Duration(eng.Rand().Int63n(int64(cfg.WarmUp/2) + 1))
-			//sigcheck:ignore hotpathalloc -- one staggered-start closure per cross flow at experiment setup
 			eng.Schedule(d, func() { f.Fetch(server23.Addr(), 7000, nil) })
 		}
 	}

@@ -132,7 +132,6 @@ func (g *TGTrans) scheduleNext() {
 	if gap > 10*g.meanGap {
 		gap = 10 * g.meanGap
 	}
-	//sigcheck:ignore hotpathalloc -- one closure per generated transaction (seconds apart), not per packet
 	g.eng.Schedule(gap, func() {
 		if !g.running {
 			return

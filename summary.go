@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tcpsig/internal/flowrtt"
-	"tcpsig/internal/netem"
 	"tcpsig/internal/pcap"
 )
 
@@ -59,30 +58,16 @@ func SummarizePcap(r io.Reader, serverIPv4 string) ([]FlowSummary, error) {
 	}
 	capt := pcap.ToCapture(records, ip)
 
-	fullIPs := make(map[netem.FlowKey][2]uint32)
-	for _, rec := range records {
-		key := netem.FlowKey{
-			SrcAddr: pcap.IPToAddr(rec.SrcIP),
-			DstAddr: pcap.IPToAddr(rec.DstIP),
-			SrcPort: netem.Port(rec.SrcPort),
-			DstPort: netem.Port(rec.DstPort),
-		}
-		if _, ok := fullIPs[key]; !ok {
-			fullIPs[key] = [2]uint32{rec.SrcIP, rec.DstIP}
-		}
-	}
-
 	var out []FlowSummary
 	for _, flow := range flowrtt.Flows(capt.Records) {
 		info, err := flowrtt.Analyze(capt.Records, flow)
 		if err != nil {
 			continue
 		}
-		ips := fullIPs[flow]
 		s := FlowSummary{
-			SrcIP:             ipString(ips[0]),
+			SrcIP:             ipString(uint32(flow.SrcAddr)),
 			SrcPort:           uint16(flow.SrcPort),
-			DstIP:             ipString(ips[1]),
+			DstIP:             ipString(uint32(flow.DstAddr)),
 			DstPort:           uint16(flow.DstPort),
 			Duration:          info.Duration(),
 			BytesSent:         info.BytesSent,

@@ -248,15 +248,9 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 	if err != nil {
 		return nil, err
 	}
-	// maxFlowIPs bounds the original-address map: emulator flow keys
-	// truncate addresses to 24 bits, so the map exists only to report
-	// untruncated dotted quads and must not grow without bound on a
-	// hostile capture cycling through addresses.
-	const maxFlowIPs = 1 << 16
 	rd := pcap.NewReader(r)
 	var (
 		results []stream.FlowResult
-		fullIPs = make(map[netem.FlowKey][2]uint32)
 		readErr error
 	)
 	// FullInfo mode: verdicts are computed at Flush from each flow's
@@ -276,33 +270,20 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 			readErr = fmt.Errorf("%w: %v", ErrCorruptTrace, err)
 			break
 		}
-		key := netem.FlowKey{
-			SrcAddr: pcap.IPToAddr(rec.SrcIP),
-			DstAddr: pcap.IPToAddr(rec.DstIP),
-			SrcPort: netem.Port(rec.SrcPort),
-			DstPort: netem.Port(rec.DstPort),
-		}
-		if _, ok := fullIPs[key]; !ok && len(fullIPs) < maxFlowIPs {
-			fullIPs[key] = [2]uint32{rec.SrcIP, rec.DstIP}
-		}
 		crec := pcap.RecordToCapture(rec, ip)
 		table.Observe(&crec)
 	}
 	table.Flush()
 	var out []FlowVerdict
 	for _, res := range results {
-		fv := FlowVerdict{
+		out = append(out, FlowVerdict{
 			SrcIP:   ipString(uint32(res.Flow.SrcAddr)),
 			SrcPort: uint16(res.Flow.SrcPort),
 			DstIP:   ipString(uint32(res.Flow.DstAddr)),
 			DstPort: uint16(res.Flow.DstPort),
 			Verdict: res.Verdict,
 			Err:     res.Err,
-		}
-		if ips, ok := fullIPs[res.Flow]; ok {
-			fv.SrcIP, fv.DstIP = ipString(ips[0]), ipString(ips[1])
-		}
-		out = append(out, fv)
+		})
 	}
 	return out, readErr
 }
