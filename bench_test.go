@@ -8,7 +8,7 @@ package tcpsig
 //	go test -bench=. -benchmem
 //
 // Experiments run at Quick scale so the whole suite stays in minutes; use
-// cmd/figures -scale full|paper for bigger runs.
+// ccsig figures -scale full|paper for bigger runs.
 
 import (
 	"math/rand"

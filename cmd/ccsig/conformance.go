@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,7 +11,6 @@ import (
 
 	"tcpsig/internal/checkpoint"
 	"tcpsig/internal/conformance"
-	"tcpsig/internal/parallel"
 	"tcpsig/internal/telemetry"
 )
 
@@ -26,28 +24,21 @@ import (
 func conformanceCmd(args []string) {
 	fs := newFlagSet("conformance", "[-seed N] [-j N] [-o out.json] [-expected bands.json] [-checkpoint DIR] [-resume] [-chunk N] [-admin ADDR] [-v] | -generate [-seeds 1,2,3]")
 	seed := fs.Int64("seed", 1, "suite seed (the report is byte-identical per seed)")
-	jobs := fs.Int("j", 0, "parallel sim runs (0 = all cores, 1 = serial; output is identical either way)")
 	out := fs.String("o", "", "write the JSON report (or, with -generate, the bands) here instead of stdout")
 	expectedPath := fs.String("expected", "", "tolerance-band JSON to evaluate against (default: embedded quick-scale baseline)")
 	generate := fs.Bool("generate", false, "regenerate tolerance bands from -seeds instead of running the suite")
 	seedList := fs.String("seeds", "1,2,3", "comma-separated seeds for -generate")
 	checkList := fs.String("checks", "", "comma-separated check names to run (default: all)")
-	ckptDir := fs.String("checkpoint", "", "persist the suite's sweep progress under this directory")
-	resume := fs.Bool("resume", false, "continue an interrupted suite run from -checkpoint")
-	chunk := fs.Int("chunk", 0, "runs per checkpoint chunk (0 = default)")
-	adminAddr := fs.String("admin", "", "serve live /metrics, /progress and /debug/pprof on this address (e.g. :9100)")
+	sf := addSweepFlags(fs)
 	verbose := fs.Bool("v", false, "print stage progress to stderr")
-	fs.Parse(args)
+	sf.parse(args)
 	if fs.NArg() != 0 {
 		badUsage(fs, "unexpected arguments")
 	}
-	if *resume && *ckptDir == "" {
-		badUsage(fs, "-resume requires -checkpoint")
-	}
-	if *generate && *ckptDir != "" {
+	if *generate && *sf.ckptDir != "" {
 		badUsage(fs, "-checkpoint does not apply to -generate")
 	}
-	workers := parallel.Workers(*jobs)
+	workers := sf.workers()
 	var onlyChecks []string
 	if *checkList != "" {
 		for _, c := range strings.Split(*checkList, ",") {
@@ -87,11 +78,9 @@ func conformanceCmd(args []string) {
 	}
 
 	telemetry.InitLogging("ccsig", *verbose, "sub", "conformance", "seed", *seed)
-	admin := startAdmin(*adminAddr)
-	defer admin.Close()
+	admin, spec := sf.start()
+	defer sf.stop()
 
-	spec := checkpointSpec(*ckptDir, *resume, *chunk)
-	admin.Observe(spec)
 	opt := conformance.Options{Seed: *seed, Workers: workers, Checks: onlyChecks}
 	if *verbose || spec != nil || admin != nil {
 		src := &conformance.EmulatedSource{Seed: *seed, Workers: workers, Checkpoint: spec}
@@ -117,14 +106,7 @@ func conformanceCmd(args []string) {
 	}
 
 	rep, err := conformance.Run(opt)
-	if err != nil {
-		if errors.Is(err, checkpoint.ErrInterrupted) {
-			slog.Warn("interrupted; progress checkpointed", "err", err,
-				"resume", fmt.Sprintf("ccsig conformance -checkpoint %s -resume (plus the same flags)", *ckptDir))
-			os.Exit(3)
-		}
-		fatal(err)
-	}
+	sf.check(err)
 	write(func(f io.Writer) error {
 		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

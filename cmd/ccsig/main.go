@@ -8,6 +8,8 @@
 //	ccsig classify -model model.json -server 10.0.0.2 trace.pcap...
 //	ccsig serve -model model.json -server 10.0.0.2 [-replay] [trace.pcap | -]
 //	ccsig inspect -model model.json
+//	ccsig testbed [-quick] [-runs N] [-csv] [-o out.csv] [-j N] [-checkpoint DIR] [-resume]
+//	ccsig figures [-scale quick|full|paper] [-only fig1,fig3,...] [-j N] [-checkpoint DIR] [-resume]
 //	ccsig faults [-quick] [-faults ge-loss,flap,...] [-j N]
 //	ccsig conformance [-seed N] [-j N] [-o report.json]
 //	ccsig trace [-seed N] [-cong N] -o trace.json
@@ -21,10 +23,15 @@
 // the data sender (e.g. a speed-test server) and prints one verdict per
 // flow (-json for NDJSON); serve classifies the same captures as a stream —
 // bounded per-flow state, verdicts emitted the moment each flow's slow
-// start ends, byte-identical to classify -json; inspect prints the tree; faults re-runs the controlled experiments
-// under injected network faults (bursty loss, link flaps, reordering,
-// duplication, corruption) and reports how the signature's accuracy holds
-// up per regime; trace runs one instrumented experiment and exports a
+// start ends, byte-identical to classify -json; inspect prints the tree.
+//
+// testbed runs the paper's §3 controlled-experiment sweep and prints
+// per-run features (-csv) or the trained classifier's quality; figures
+// regenerates every figure and table of the evaluation (§3 testbed,
+// Dispute2014, TSLP2017), printing the rows the paper plots; faults
+// re-runs the controlled experiments under injected network faults
+// (bursty loss, link flaps, reordering, duplication, corruption) and
+// reports how the signature's accuracy holds up per regime; trace runs one instrumented experiment and exports a
 // Perfetto-compatible Chrome trace (plus optional CSV time series);
 // metrics runs instrumented experiments and prints their metric
 // snapshots. trace and metrics output is a pure function of the seed:
@@ -34,14 +41,20 @@
 // plane: bench emits a versioned perf-trajectory artifact from the
 // hot-path micro-benchmarks, benchdiff gates two artifacts against
 // regression budgets, and checkmetrics validates a saved Prometheus
-// /metrics exposition. Long-running subcommands (faults, conformance)
-// accept -admin ADDR to serve live /metrics, /progress and
-// /debug/pprof while they run; the flag is off by default and never
-// alters sim-time outputs.
+// /metrics exposition.
+//
+// The long-running subcommands (testbed, figures, faults, conformance)
+// share one flag block: -j N parallel runs (output is identical at any
+// N); -checkpoint DIR to persist completed chunks, so an interrupted run
+// continues with -resume and ends byte-identical to an uninterrupted one;
+// and -admin ADDR to serve live /metrics, /progress and /debug/pprof
+// while they run (off by default, never alters sim-time outputs).
+// SIGINT/SIGTERM drain a checkpointed run and exit 3; a second signal
+// exits immediately. testbed and figures also take -cpuprofile,
+// -memprofile and -trace.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,25 +65,9 @@ import (
 
 	"tcpsig"
 	"tcpsig/internal/checkpoint"
-	"tcpsig/internal/parallel"
 	"tcpsig/internal/telemetry"
 	"tcpsig/internal/testbed"
 )
-
-// checkpointSpec installs the signal discipline for a long-running
-// subcommand and builds its checkpoint root (nil when dir is empty: the
-// sweep runs in memory and the first signal exits immediately).
-func checkpointSpec(dir string, resume bool, chunk int) *checkpoint.Spec {
-	intr := checkpoint.NotifyInterrupt(dir != "", nil)
-	if dir == "" {
-		return nil
-	}
-	return &checkpoint.Spec{
-		Dir: dir, Resume: resume, ChunkSize: chunk,
-		Interrupt: intr,
-		Log:       func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
-	}
-}
 
 func main() {
 	telemetry.InitLogging("ccsig", false)
@@ -89,6 +86,10 @@ func main() {
 		inspectCmd(os.Args[2:])
 	case "summarize":
 		summarizeCmd(os.Args[2:])
+	case "testbed":
+		testbedCmd(os.Args[2:])
+	case "figures":
+		figuresCmd(os.Args[2:])
 	case "faults":
 		faultsCmd(os.Args[2:])
 	case "conformance":
@@ -121,6 +122,8 @@ commands:
   serve      classify a pcap stream incrementally, emitting NDJSON verdicts
   summarize  print per-flow slow-start statistics from pcap captures
   inspect    print a trained model's decision tree
+  testbed    run the §3 controlled-experiment sweep, train and score a model
+  figures    regenerate the paper's figures and tables
   faults     measure accuracy under injected network faults
   conformance  run the tier-2 statistical conformance suite, emit a JSON report
   trace      run one instrumented experiment, export a Chrome/Perfetto trace
@@ -335,24 +338,15 @@ func faultsCmd(args []string) {
 	threshold := fs.Float64("threshold", 0.8, "slow-start throughput labeling threshold")
 	seed := fs.Int64("seed", 1, "random seed")
 	names := fs.String("faults", "", "comma-separated fault regimes to test (default: all)")
-	jobs := fs.Int("j", 0, "parallel sim runs (0 = all cores, 1 = serial; output is identical either way)")
-	ckptDir := fs.String("checkpoint", "", "persist per-regime sweep progress under this directory")
-	resume := fs.Bool("resume", false, "continue an interrupted run from -checkpoint")
-	chunk := fs.Int("chunk", 0, "runs per checkpoint chunk (0 = default)")
-	adminAddr := fs.String("admin", "", "serve live /metrics, /progress and /debug/pprof on this address (e.g. :9100)")
+	sf := addSweepFlags(fs)
 	verbose := fs.Bool("v", false, "print progress")
-	fs.Parse(args)
-	if *resume && *ckptDir == "" {
-		badUsage(fs, "-resume requires -checkpoint")
-	}
+	sf.parse(args)
 	telemetry.InitLogging("ccsig", *verbose, "sub", "faults", "seed", *seed)
 
-	admin := startAdmin(*adminAddr)
-	defer admin.Close()
+	admin, spec := sf.start()
+	defer sf.stop()
 
-	spec := checkpointSpec(*ckptDir, *resume, *chunk)
-	admin.Observe(spec)
-	sw := testbed.SweepOptions{RunsPerConfig: *runs, Seed: *seed, Workers: parallel.Workers(*jobs), Checkpoint: spec, LiveMetrics: admin.LiveMetrics()}
+	sw := testbed.SweepOptions{RunsPerConfig: *runs, Seed: *seed, Workers: sf.workers(), Checkpoint: spec, LiveMetrics: admin.LiveMetrics()}
 	if *quick {
 		sw.Rates = []float64{50}
 		sw.Losses = []float64{0}
@@ -377,7 +371,7 @@ func faultsCmd(args []string) {
 			n = strings.TrimSpace(n)
 			r, ok := byName[n]
 			if !ok {
-				fatal(fmt.Errorf("unknown fault regime %q (available: %s)", n, strings.Join(known, ", ")))
+				sf.check(fmt.Errorf("unknown fault regime %q (available: %s)", n, strings.Join(known, ", ")))
 			}
 			picked = append(picked, r)
 		}
@@ -394,14 +388,7 @@ func faultsCmd(args []string) {
 		}
 	}
 	report, err := testbed.SweepFaults(opt)
-	if err != nil {
-		if errors.Is(err, checkpoint.ErrInterrupted) {
-			slog.Warn("interrupted; progress checkpointed", "err", err,
-				"resume", fmt.Sprintf("ccsig faults -checkpoint %s -resume (plus the same flags)", *ckptDir))
-			os.Exit(3)
-		}
-		fatal(err)
-	}
+	sf.check(err)
 	fmt.Printf("classifier trained on clean sweep (threshold %.2f):\n%s\n", report.Threshold, report.Tree.String())
 	fmt.Print(report.String())
 }

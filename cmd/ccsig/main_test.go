@@ -46,6 +46,8 @@ commands:
   serve      classify a pcap stream incrementally, emitting NDJSON verdicts
   summarize  print per-flow slow-start statistics from pcap captures
   inspect    print a trained model's decision tree
+  testbed    run the §3 controlled-experiment sweep, train and score a model
+  figures    regenerate the paper's figures and tables
   faults     measure accuracy under injected network faults
   conformance  run the tier-2 statistical conformance suite, emit a JSON report
   trace      run one instrumented experiment, export a Chrome/Perfetto trace
@@ -96,7 +98,7 @@ func TestTopLevelExitCodes(t *testing.T) {
 // 0 on -h, printing its synopsis either way (the flag package contract,
 // wired through newFlagSet).
 func TestSubcommandFlagErrors(t *testing.T) {
-	subs := []string{"train", "classify", "summarize", "inspect", "faults", "conformance", "trace", "metrics", "bench", "benchdiff", "checkmetrics"}
+	subs := []string{"train", "classify", "summarize", "inspect", "testbed", "figures", "faults", "conformance", "trace", "metrics", "bench", "benchdiff", "checkmetrics"}
 	for _, sub := range subs {
 		t.Run(sub+"/bad flag", func(t *testing.T) {
 			_, stderr, code := runCLI(t, sub, "-no-such-flag")
@@ -136,6 +138,13 @@ func TestSubcommandUsageErrors(t *testing.T) {
 		{name: "bench without output", args: []string{"bench"}, wantErr: "-o is required"},
 		{name: "bench bad count", args: []string{"bench", "-reps", "0", "-o", "x.json"}, wantErr: "-reps must be >= 1"},
 		{name: "benchdiff one arg", args: []string{"benchdiff", "old.json"}, wantErr: "want exactly two artifact paths"},
+		{name: "testbed resume without checkpoint", args: []string{"testbed", "-resume"}, wantErr: "-resume requires -checkpoint"},
+		{name: "testbed output without csv", args: []string{"testbed", "-o", "x.csv"}, wantErr: "-o requires -csv"},
+		{name: "figures resume without checkpoint", args: []string{"figures", "-resume"}, wantErr: "-resume requires -checkpoint"},
+		{name: "figures bad scale", args: []string{"figures", "-scale", "bogus"}, wantErr: `unknown scale "bogus"`},
+		{name: "figures unknown experiment", args: []string{"figures", "-only", "fig7,fig8,fgi9"}, wantErr: `unknown experiment "fgi9" (known: fig1,fig3,`},
+		{name: "faults resume without checkpoint", args: []string{"faults", "-resume"}, wantErr: "-resume requires -checkpoint"},
+		{name: "conformance resume without checkpoint", args: []string{"conformance", "-resume"}, wantErr: "-resume requires -checkpoint"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

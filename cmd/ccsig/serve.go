@@ -98,7 +98,7 @@ func serveCmd(args []string) {
 	replay := fs.Bool("replay", false, "replay the capture at its original timing; records are dropped (and counted) under backpressure instead of stalling the clock")
 	speed := fs.Float64("speed", 1, "replay speed multiplier, with -replay (2 = twice as fast)")
 	out := fs.String("o", "-", "NDJSON verdict output path ('-' = stdout)")
-	adminAddr := fs.String("admin", "", "serve live /metrics, /progress and /debug/pprof on this address (e.g. :9100)")
+	adminAddr := adminFlag(fs)
 	fs.Parse(args)
 	if *server == "" {
 		badUsage(fs, "-server is required")
@@ -151,7 +151,10 @@ func serveCmd(args []string) {
 	}
 	bw := bufio.NewWriter(w)
 
-	admin := startAdmin(*adminAddr)
+	admin, err := telemetry.StartAdmin(*adminAddr)
+	if err != nil {
+		fatal(err)
+	}
 	defer admin.Close()
 
 	var writeErr error

@@ -68,14 +68,8 @@ func sweepOpts(scale Scale, seed int64, workers int, progress func(done, total i
 	opt := testbed.SweepOptions{Seed: seed, Workers: workers, Progress: progress}
 	switch scale {
 	case Quick:
-		opt.Rates = []float64{20}
-		opt.Losses = []float64{0}
-		opt.Latencies = []time.Duration{20 * time.Millisecond}
-		// Include the paper's smallest buffer so quick models still see
-		// low-CoV self-induced examples.
-		opt.Buffers = []time.Duration{20 * time.Millisecond, 100 * time.Millisecond}
+		opt = opt.QuickGrid()
 		opt.RunsPerConfig = 5
-		opt.Duration = 5 * time.Second
 	case Full:
 		opt.RunsPerConfig = 6
 		opt.Duration = 5 * time.Second

@@ -1,7 +1,7 @@
 // Package experiments reproduces every figure and table of the paper's
 // evaluation. Each Fig* function runs the workload it needs on the emulator
 // (or takes a pre-generated dataset) and returns the series the paper plots,
-// so cmd/figures and the benchmark harness print the same rows.
+// so ccsig figures and the benchmark harness print the same rows.
 package experiments
 
 import (

@@ -14,7 +14,7 @@ import (
 // congests in evening episodes.
 type TSLPOptions struct {
 	// Days is the measurement campaign length (the paper ran ~75 days;
-	// default 14 keeps runtimes moderate — scale up from cmd/mlab).
+	// default 14 keeps runtimes moderate — scale up via ccsig figures -scale).
 	Days int
 
 	// PlanMbps is the client's service plan (paper: 25).

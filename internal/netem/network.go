@@ -25,11 +25,6 @@ func New(eng *sim.Engine) *Network {
 	return &Network{eng: eng, byAddr: make(map[Addr]Node), nextAddr: 1, pooling: defaultPooling.Load()}
 }
 
-// SetPooling enables or disables packet recycling for this network. With
-// pooling off, NewPacket always allocates and FreePacket is a no-op — the
-// pre-pooling behaviour, kept for equivalence testing.
-func (n *Network) SetPooling(on bool) { n.pooling = on }
-
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 

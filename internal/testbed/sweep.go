@@ -130,6 +130,18 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	return o
 }
 
+// QuickGrid narrows o to the quick grid: one 20 Mbps lossless 20 ms cell,
+// 5 s tests, and two buffers. The paper's smallest buffer is included so
+// quick models still see low-CoV self-induced examples.
+func (o SweepOptions) QuickGrid() SweepOptions {
+	o.Rates = []float64{20}
+	o.Losses = []float64{0}
+	o.Latencies = []time.Duration{20 * time.Millisecond}
+	o.Buffers = []time.Duration{20 * time.Millisecond, 100 * time.Millisecond}
+	o.Duration = 5 * time.Second
+	return o
+}
+
 // Total returns the number of runs the sweep will execute.
 func (o SweepOptions) Total() int {
 	o = o.withDefaults()

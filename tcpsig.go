@@ -164,11 +164,7 @@ func TestbedExamples(opt TrainTestbedOptions) ([]Example, error) {
 		Progress:      opt.Progress,
 	}
 	if opt.Quick {
-		sw.Rates = []float64{20}
-		sw.Losses = []float64{0}
-		sw.Latencies = []time.Duration{20 * time.Millisecond}
-		sw.Buffers = []time.Duration{20 * time.Millisecond, 100 * time.Millisecond}
-		sw.Duration = 5 * time.Second
+		sw = sw.QuickGrid()
 		if sw.RunsPerConfig == 0 {
 			sw.RunsPerConfig = 4
 		}
