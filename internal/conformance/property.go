@@ -161,6 +161,9 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	}
 	eng.Schedule(2*time.Millisecond, tick)
 
+	// A fixed drain, not Download.RunUntilFinal: packet conservation and
+	// the queue peak are checked over a network that has fully emptied,
+	// which a run stopped once the capture is final does not guarantee.
 	eng.RunFor(sim.Time(sc.Duration) + 5*time.Second)
 	if eng.Pending() > 0 {
 		eng.RunFor(60 * time.Second)

@@ -252,7 +252,9 @@ func RunNDT(p PathParams) (*NDTResult, error) {
 
 	capt := server.EnableCapture()
 	dl := tcpsim.StartDownload(client, server, 40000, 3001, tcpsim.Config{}, 0, p.Duration)
-	eng.RunFor(p.Duration + 5*time.Second)
+	// Stop once the server capture is final; the bound is for a test that
+	// never closes.
+	dl.RunUntilFinal(eng.Now() + p.Duration + 5*time.Second)
 
 	res := &NDTResult{}
 	if nearPing.got() {

@@ -151,6 +151,18 @@ func (l *Link) free(p *Packet) {
 	}
 }
 
+// duplicate clones p for a fault duplicate: one more packet in the
+// network, counted against the host that sent the original.
+func (l *Link) duplicate(p *Packet) *Packet {
+	c := clonePacket(p)
+	if l.owner != nil {
+		if h := l.owner.origin(c); h != nil {
+			h.inNet++
+		}
+	}
+	return c
+}
+
 // drainReleases returns buffer bytes for packets that have finished
 // serializing by now.
 func (l *Link) drainReleases() {
@@ -298,7 +310,7 @@ func (l *Link) Send(p *Packet) {
 		})
 		if act.Duplicate {
 			l.stats.Duplicated++
-			dup := clonePacket(p)
+			dup := l.duplicate(p)
 			l.eng.At(deliverAt+act.ExtraDelay, func() {
 				l.stats.Delivered++
 				l.stats.BytesDelivered += uint64(dup.Size)
@@ -308,7 +320,9 @@ func (l *Link) Send(p *Packet) {
 		// When corruption replaced the original on the wire, the original
 		// is abandoned to the GC rather than recycled: the documented
 		// contract is that corruption never mutates the sender's packet,
-		// and fault paths are rare enough that the leak is irrelevant.
+		// and fault paths are rare enough that the leak is irrelevant. The
+		// copy carries the original's origin, so it takes over its place
+		// in the sender's in-network count.
 		return
 	}
 	// Preserve FIFO delivery despite jitter, as tc netem does when
@@ -335,7 +349,7 @@ func (l *Link) Send(p *Packet) {
 	l.deliveries = append(l.deliveries, pendingDelivery{at: deliverAt, p: dp, del: !lost})
 	if !lost && act.Duplicate {
 		l.stats.Duplicated++
-		l.deliveries = append(l.deliveries, pendingDelivery{at: deliverAt, p: clonePacket(dp), del: true})
+		l.deliveries = append(l.deliveries, pendingDelivery{at: deliverAt, p: l.duplicate(dp), del: true})
 	}
 	if !l.deliveryArmd {
 		l.deliveryArmd = true

@@ -38,6 +38,16 @@ func (n *Network) register(node Node) {
 	n.byAddr[node.Addr()] = node
 }
 
+// origin returns the host that sent p, whose in-network count p holds
+// (see pool.go), or nil for a packet no host sent. Addresses are handed out
+// from 1 in registration order, so a's node is nodes[a-1].
+func (n *Network) origin(p *Packet) *Host {
+	if p.origin == 0 {
+		return nil
+	}
+	return n.nodes[p.origin-1].(*Host)
+}
+
 // NewHost adds a host to the network.
 func (n *Network) NewHost(name string) *Host {
 	h := &Host{name: name, addr: n.nextAddr, net: n, ports: make(map[Port]Receiver)}

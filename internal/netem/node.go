@@ -92,6 +92,10 @@ type Host struct {
 
 	capture *Capture
 
+	// inNet counts the packets this host has sent that are still in the
+	// network (see pool.go).
+	inNet int
+
 	// Dropped counts packets that arrived for a port nobody is bound to.
 	Dropped uint64
 }
@@ -144,10 +148,17 @@ func (h *Host) EnableCapture() *Capture {
 // passes back to the network when the packet is handed to Send.
 func (h *Host) NewPacket() *Packet { return h.net.NewPacket() }
 
+// InNetwork returns how many packets this host has sent that are still in
+// the network: queued, on the wire, held back or duplicated by a fault. It
+// is 0 once every one of them was delivered or dropped.
+func (h *Host) InNetwork() int { return h.inNet }
+
 // Send stamps and transmits a packet through the host uplink.
 func (h *Host) Send(p *Packet) {
 	p.ID = h.net.nextPacketID()
 	p.SentAt = h.net.eng.Now()
+	p.origin = h.addr
+	h.inNet++
 	if h.capture != nil {
 		h.capture.record(h.net.eng.Now(), DirOut, p)
 	}

@@ -93,6 +93,12 @@ type Packet struct {
 	// free marks a packet currently parked on its network's free list;
 	// the pool uses it to catch double frees.
 	free bool
+
+	// origin is the address of the host that sent the packet, whose
+	// in-network count it holds until it retires (Host.InNetwork); 0 for
+	// packets no host sent. It sits in the struct's tail padding, so
+	// packets and capture records keep their size.
+	origin Addr
 }
 
 // IsData reports whether the packet carries application payload.

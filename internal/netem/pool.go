@@ -23,6 +23,13 @@ import "sync/atomic"
 // runs. Fault paths that fan one packet out into several copies
 // (duplication, corruption) deep-copy the Sack storage so no two live
 // packets ever share a pooled buffer.
+//
+// The same hand-off points keep an exact count, per sending host, of the
+// packets that host has in the network (Host.InNetwork): Host.Send adds one
+// and a fault duplicate adds one, FreePacket — which every delivery and
+// drop reaches — takes one away. A corruption copy inherits its original's
+// place in the count, and the original is never freed, so the count holds
+// one for one.
 
 // defaultPooling controls whether Networks built by New recycle packets.
 // It exists for the pooled-vs-unpooled equivalence tests; production code
@@ -50,10 +57,15 @@ func (n *Network) NewPacket() *Packet {
 	return &Packet{}
 }
 
-// FreePacket returns p to the network's free list. Freeing the same packet
-// twice panics: a double free means two owners, which would silently
-// corrupt both once the packet is recycled.
+// FreePacket retires p from its sending host's in-network count and
+// returns it to the network's free list. Freeing the same packet twice
+// panics: a double free means two owners, which would silently corrupt both
+// once the packet is recycled.
 func (n *Network) FreePacket(p *Packet) {
+	if h := n.origin(p); h != nil {
+		h.inNet--
+		p.origin = 0
+	}
 	if !n.pooling {
 		return
 	}

@@ -34,12 +34,13 @@ func fillNonZero(t *testing.T, v reflect.Value, path string) {
 			f := v.Field(i)
 			name := path + "." + v.Type().Field(i).Name
 			if !f.CanSet() {
-				// Unexported fields are invisible to reflection; the only
-				// one Packet carries is the pool's own double-free marker,
-				// which FreePacket manages after reset and the double-free
-				// test covers. Anything else must be made exported or
-				// handled here.
-				if got := v.Type().Field(i).Name; got != "free" {
+				// Unexported fields are invisible to reflection. Packet
+				// carries two: the pool's own double-free marker, which
+				// FreePacket manages after reset and the double-free test
+				// covers, and the in-network origin, which the audit sets
+				// by hand. Anything else must be made exported or handled
+				// here.
+				if got := v.Type().Field(i).Name; got != "free" && got != "origin" {
 					t.Fatalf("unexported field %s (%s) not covered by the reset audit", name, got)
 				}
 				continue
@@ -57,14 +58,21 @@ func fillNonZero(t *testing.T, v reflect.Value, path string) {
 // for the retained Sack capacity.
 func TestPacketResetAudit(t *testing.T) {
 	n := New(sim.NewEngine(1))
+	h := n.NewHost("h")
 	p := n.NewPacket()
 	fillNonZero(t, reflect.ValueOf(p).Elem(), "Packet")
 	sackCap := cap(p.Seg.Sack)
 	if sackCap == 0 {
 		t.Fatal("filler did not populate Seg.Sack")
 	}
+	// In the network on h's account, as Host.Send leaves it.
+	p.origin = h.Addr()
+	h.inNet++
 
 	n.FreePacket(p)
+	if got := h.InNetwork(); got != 0 {
+		t.Errorf("InNetwork after free = %d, want 0", got)
+	}
 	q := n.NewPacket()
 	if q != p {
 		t.Fatal("free list did not return the freed packet")

@@ -211,9 +211,18 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (even if the queue drained earlier or holds only later
 // events).
-func (e *Engine) RunUntil(deadline Time) {
+func (e *Engine) RunUntil(deadline Time) { e.RunUntilDone(deadline, nil) }
+
+// RunUntilDone is RunUntil that also returns as soon as done reports true.
+// done is consulted before every event, so it sees the state between
+// events; when it ends the run the clock stays where it is. A nil done never
+// ends the run early.
+func (e *Engine) RunUntilDone(deadline Time, done func() bool) {
 	e.stopped = false
 	for !e.stopped {
+		if done != nil && done() {
+			return
+		}
 		if len(e.q) == 0 || e.q[0].at > deadline {
 			break
 		}

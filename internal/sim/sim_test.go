@@ -90,6 +90,26 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+func TestRunUntilDone(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	for i := 1; i <= 5; i++ {
+		e.Schedule(time.Duration(i)*time.Second, func() { n++ })
+	}
+	// done is checked between events: it ends the run right after the
+	// third, without advancing the clock to the deadline.
+	e.RunUntilDone(10*time.Second, func() bool { return n == 3 })
+	if n != 3 || e.Now() != 3*time.Second {
+		t.Fatalf("stopped after %d events at %v, want 3 at 3s", n, e.Now())
+	}
+	// A done that never holds behaves as RunUntil: the clock lands on the
+	// deadline with later events still queued.
+	e.RunUntilDone(4500*time.Millisecond, func() bool { return false })
+	if n != 4 || e.Now() != 4500*time.Millisecond {
+		t.Fatalf("ran %d events, clock %v; want 4 at 4.5s", n, e.Now())
+	}
+}
+
 func TestRunUntilAdvancesEmptyClock(t *testing.T) {
 	e := NewEngine(1)
 	e.RunUntil(5 * time.Second)

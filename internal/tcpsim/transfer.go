@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tcpsig/internal/netem"
+	"tcpsig/internal/sim"
 )
 
 // BulkServer serves every accepted connection with either a fixed number of
@@ -56,6 +57,38 @@ func (d *Download) Sender() *Sender {
 		return nil
 	}
 	return conns[0]
+}
+
+// final reports whether the download can add no more packets to either
+// endpoint host's capture:
+//   - the sender is closed: its FIN is acknowledged and its retransmission
+//     timer is disarmed;
+//   - the receiver has consumed the FIN and has no delayed-ACK or SYN timer
+//     armed;
+//   - neither endpoint host has a packet still in the network, so nothing
+//     is left to arrive and wake either side.
+//
+// Each endpoint only sends from a timer or in answer to an arrival, so from
+// then on neither sends again. Other traffic addressed to the endpoint hosts
+// would still reach their captures; the callers' topologies have none.
+func (d *Download) final() bool {
+	r := d.Receiver
+	if !r.done || r.delack.Armed() || r.synTimer.Armed() || r.host.InNetwork() != 0 {
+		return false
+	}
+	conns := d.server.Listener.order
+	if len(conns) == 0 {
+		return false
+	}
+	s := conns[0]
+	return s.done && !s.timer.Armed() && s.host.InNetwork() == 0
+}
+
+// RunUntilFinal runs the engine until neither endpoint host's capture can
+// gain another record of this download (see final), or up to deadline for
+// a download that never gets there.
+func (d *Download) RunUntilFinal(deadline sim.Time) {
+	d.Receiver.eng.RunUntilDone(deadline, d.final)
 }
 
 // ThroughputBps returns the client-observed goodput over the transfer

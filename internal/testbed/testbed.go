@@ -168,7 +168,18 @@ func (r *Result) Label(threshold float64) int {
 // Run executes one experiment and returns the analyzed result. It fails if
 // the flow does not yield enough slow-start RTT samples (the paper discards
 // such tests too).
-func Run(cfg Config) (*Result, error) {
+//
+// The run ends as soon as the test flow's server capture is final
+// (tcpsim.Download.RunUntilFinal): both endpoints are closed and none of
+// their packets is left in the network, so simulating the cross traffic any
+// longer could not change the capture or anything derived from it. A flow
+// that never closes ends the run Duration + 5 s after the test starts.
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run with a seam for the exactness tests: a non-nil tail is called
+// with the engine and the run's deadline once the run has ended, before the
+// capture is handed out and analyzed.
+func run(cfg Config, tail func(eng *sim.Engine, deadline sim.Time)) (*Result, error) {
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine(cfg.Seed)
 	if cfg.Obs != nil {
@@ -281,7 +292,11 @@ func Run(cfg Config) (*Result, error) {
 	eng.RunFor(cfg.WarmUp)
 	capt := server1.EnableCapture()
 	dl := tcpsim.StartDownload(pi1, server1, 40000, 80, tcpCfg, 0, cfg.Duration)
-	eng.RunFor(cfg.Duration + 5*time.Second)
+	deadline := eng.Now() + cfg.Duration + 5*time.Second
+	dl.RunUntilFinal(deadline)
+	if tail != nil {
+		tail(eng, deadline)
+	}
 
 	if cfg.Capture != nil {
 		cfg.Capture(capt)
