@@ -36,7 +36,11 @@ var (
 func fixtures(b *testing.B) ([]*testbed.Result, *core.Classifier) {
 	b.Helper()
 	fixtureOnce.Do(func() {
-		fixtureResults = experiments.SweepResults(experiments.Quick, 1, 0, nil)
+		var err error
+		fixtureResults, err = experiments.Exec{Scale: experiments.Quick, Seed: 1}.SweepResults(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		m, err := experiments.TrainOnResults(fixtureResults, 0.8)
 		if err != nil {
 			panic(err)
@@ -65,7 +69,10 @@ func medianCDF(c []stats.CDFPoint) float64 {
 // signature CDFs for self-induced vs external congestion.
 func BenchmarkFig1RTTSignatures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(experiments.Quick, int64(i+1), 0)
+		r, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i + 1)}.Fig1()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(medianCDF(r.MaxMinDiffMs[testbed.SelfInduced]), "self-maxmin-ms")
 		b.ReportMetric(medianCDF(r.MaxMinDiffMs[testbed.External]), "ext-maxmin-ms")
 		b.ReportMetric(medianCDF(r.CoV[testbed.SelfInduced]), "self-cov")
@@ -114,7 +121,10 @@ func BenchmarkMultiplexing(b *testing.B) {
 	_, clf := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Multiplexing(clf, experiments.Quick, int64(i*1000+7), 0)
+		rows, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i*1000 + 7)}.Multiplexing(clf)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, row := range rows {
 			if row.CongFlows == 100 {
 				b.ReportMetric(row.FracExpected, "ext-frac-100flows")
@@ -132,7 +142,10 @@ func BenchmarkMultiplexing(b *testing.B) {
 // BenchmarkFig5Diurnal regenerates Figure 5: diurnal NDT throughput.
 func BenchmarkFig5Diurnal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tests := experiments.DisputeData(experiments.Quick, int64(i*100+50), 0, nil)
+		tests, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i*100 + 50)}.DisputeData(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rows := experiments.Fig5(tests)
 		// Report the Cogent/Comcast Jan-Feb peak vs off-peak gap.
 		for _, row := range rows {
@@ -157,7 +170,11 @@ var (
 func disputeData(b *testing.B) []mlab.DisputeTest {
 	b.Helper()
 	disputeOnce.Do(func() {
-		disputeTests = experiments.DisputeData(experiments.Quick, 2000, 0, nil)
+		var err error
+		disputeTests, err = experiments.Exec{Scale: experiments.Quick, Seed: 2000}.DisputeData(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 	})
 	if len(disputeTests) == 0 {
 		b.Fatal("dispute fixture empty")
@@ -221,7 +238,10 @@ func BenchmarkFig9SelfTrained(b *testing.B) {
 // timeline with congestion episodes.
 func BenchmarkFig6TSLP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tests := experiments.TSLPData(experiments.Quick, int64(i*10+3000), 0, nil)
+		tests, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i*10 + 3000)}.TSLPData(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		pts := experiments.Fig6(tests)
 		var congFar, cleanFar float64
 		var nc, nn int
@@ -250,7 +270,10 @@ func BenchmarkTSLP2017Accuracy(b *testing.B) {
 	_, clf := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tests := experiments.TSLPData(experiments.Quick, int64(i*10+3000), 0, nil)
+		tests, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i*10 + 3000)}.TSLPData(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		acc := experiments.EvalTSLP(tests, clf)
 		b.ReportMetric(acc.AccSelf(), "self-accuracy")
 		b.ReportMetric(acc.AccExt(), "ext-accuracy")
@@ -293,7 +316,10 @@ func BenchmarkFeatureAblation(b *testing.B) {
 // BenchmarkBBRAblation regenerates the §6 congestion-control/AQM ablation.
 func BenchmarkBBRAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.CCAblation(experiments.Quick, int64(i*100+11), 0)
+		rows, err := experiments.Exec{Scale: experiments.Quick, Seed: int64(i*100 + 11)}.CCAblation()
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, row := range rows {
 			switch row.Variant {
 			case "reno":

@@ -153,11 +153,7 @@ func (r *runner) tslp() {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "generating TSLP2017 campaign...\n")
-	var p func(int)
-	if r.progress != nil {
-		p = func(done int) { fmt.Fprintf(os.Stderr, "\r%d", done) }
-	}
-	tests, err := r.exec(r.seed + 20000).TSLPData(p)
+	tests, err := r.exec(r.seed + 20000).TSLPData(r.progress)
 	r.check(err)
 	r.tslpTests = tests
 	fmt.Fprintf(os.Stderr, "tslp2017: %d tests\n", len(r.tslpTests))

@@ -23,7 +23,7 @@ func main() {
 	}
 
 	fmt.Println("generating synthetic Dispute2014 measurements (Cogent/LAX)...")
-	tests := mlab.GenerateDispute2014(mlab.DisputeOptions{
+	tests, err := mlab.Dispute2014(mlab.DisputeOptions{
 		TestsPerCell: 2,
 		Hours:        []int{3, 21}, // one off-peak, one peak hour
 		Sites:        []mlab.Site{{Transit: "Cogent", City: "LAX"}},
@@ -31,6 +31,9 @@ func main() {
 		Duration:     5 * time.Second,
 		Seed:         99,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	type cell struct{ self, n int }
 	agg := map[string]*cell{}

@@ -139,7 +139,10 @@ func TestEndToEndClassification(t *testing.T) {
 		Duration:      4 * time.Second,
 		Seed:          500,
 	}
-	results := testbed.Sweep(opt)
+	results, err := testbed.SweepCheckpointed(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ds := testbed.Dataset(results, 0.7)
 	clf, err := Train(ds, TrainOptions{MaxDepth: 4, MinLeaf: 2, Threshold: 0.7})
 	if err != nil {

@@ -110,20 +110,12 @@ type VariantRow struct {
 // CCAblation measures the self-induced signature under Reno, CUBIC and the
 // BBR-like controller (the paper notes latency-based congestion control can
 // confound the technique) plus a RED-queue variant (§6 claims AQM keeps the
-// signature as long as RTT still rises). The runs fan out over workers
-// (0/1 = serial) with byte-identical output; seeds derive from the flat
+// signature as long as RTT still rises). Seeds derive from the flat
 // (variant, repetition) index, matching the historical shared counter.
-func CCAblation(scale Scale, seed int64, workers int) []VariantRow {
-	// Without a checkpoint, Exec.CCAblation has no failure mode.
-	out, _ := Exec{Scale: scale, Seed: seed, Workers: workers}.CCAblation()
-	return out
-}
-
-// CCAblation is the checkpoint-aware form (stage "variants"). The CC
-// constructors are function values the checkpoint identity cannot
-// describe, so the variant list itself — names in order — stands in for
-// them; changing the list changes the identity and refuses a stale
-// resume.
+// Checkpoint stage "variants": the CC constructors are function values the
+// checkpoint identity cannot describe, so the variant list itself — names
+// in order — stands in for them; changing the list changes the identity
+// and refuses a stale resume.
 func (e Exec) CCAblation() ([]VariantRow, error) {
 	runs := 3
 	if e.Scale >= Full {
@@ -172,17 +164,17 @@ func (e Exec) CCAblation() ([]VariantRow, error) {
 		row := VariantRow{Variant: v.name, Scenario: testbed.SelfInduced}
 		var nd, cov, maxMs, minMs float64
 		for i := 0; i < runs; i++ {
-			o := outcomes[idx]
+			res := outcomes[idx]
 			idx++
 			row.Runs++
-			if o.err != nil {
+			if res == nil {
 				continue
 			}
 			row.ValidRuns++
-			nd += o.res.Features.NormDiff
-			cov += o.res.Features.CoV
-			maxMs += float64(o.res.Features.MaxRTT) / float64(time.Millisecond)
-			minMs += float64(o.res.Features.MinRTT) / float64(time.Millisecond)
+			nd += res.Features.NormDiff
+			cov += res.Features.CoV
+			maxMs += float64(res.Features.MaxRTT) / float64(time.Millisecond)
+			minMs += float64(res.Features.MinRTT) / float64(time.Millisecond)
 		}
 		if row.ValidRuns > 0 {
 			n := float64(row.ValidRuns)

@@ -40,7 +40,10 @@ func sweepFingerprint(t *testing.T, seed int64) []byte {
 		RunsPerConfig: 2,
 		Duration:      3e9, // 3 s of sim time
 	}
-	results := testbed.Sweep(opt)
+	results, err := testbed.SweepCheckpointed(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) < 4 {
 		t.Fatalf("sweep yielded only %d results", len(results))
 	}

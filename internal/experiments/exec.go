@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -12,12 +11,13 @@ import (
 	"tcpsig/internal/testbed"
 )
 
-// Exec runs the paper's experiments with optional durable progress. The
-// zero value (plus a Scale/Seed/Workers) behaves exactly like the
-// package-level functions; setting Checkpoint persists each experiment
-// stage under its own name — "sweep", "fig1", "dispute", "tslp",
-// "multiplexing", "variants" — so a killed pipeline resumes by replaying
-// completed chunks (see internal/checkpoint).
+// Exec runs the paper's experiments. Every experiment fans its emulated
+// runs out over Workers (0/1 = serial, negative = GOMAXPROCS) with
+// byte-identical output at every worker count. Setting Checkpoint persists
+// each experiment stage under its own name — "sweep", "fig1", "dispute",
+// "tslp", "multiplexing", "variants" — so a killed pipeline resumes by
+// replaying completed chunks (see internal/checkpoint); without it every
+// stage runs in memory.
 type Exec struct {
 	Scale   Scale
 	Seed    int64
@@ -35,13 +35,13 @@ type runRecord struct {
 	Err string          `json:"err,omitempty"`
 }
 
-// runAll is the checkpoint-aware twin of the package-level runAll: it
-// executes the planned configs and returns outcomes slotted by plan
-// index, persisting chunks under the named stage when e.Checkpoint is
-// set. identity deterministically describes the plan (see
-// checkpoint.Run).
-func (e Exec) runAll(specs []testbed.Config, stage, identity string) ([]runOut, error) {
-	out := make([]runOut, len(specs))
+// runAll executes the planned configs and returns their results slotted
+// by plan index, nil for a run that failed the validity filter, so every
+// aggregation consumes them in the order the serial loops did. Chunks
+// persist under the named stage when e.Checkpoint is set; identity
+// deterministically describes the plan (see checkpoint.Run).
+func (e Exec) runAll(specs []testbed.Config, stage, identity string) ([]*testbed.Result, error) {
+	out := make([]*testbed.Result, len(specs))
 	err := checkpoint.Run(e.Checkpoint.Stage(stage), identity, len(specs), e.Workers,
 		func(i int) runRecord {
 			res, err := testbed.Run(specs[i])
@@ -50,23 +50,19 @@ func (e Exec) runAll(specs []testbed.Config, stage, identity string) ([]runOut, 
 			}
 			return runRecord{Res: res}
 		},
-		func(i int, v runRecord) {
-			if v.Err != "" {
-				out[i] = runOut{err: errors.New(v.Err)}
-				return
-			}
-			out[i] = runOut{res: v.Res}
-		})
+		func(i int, v runRecord) { out[i] = v.Res })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// sweepOpts builds the §3.1 grid options for a scale (see SweepResults).
-func sweepOpts(scale Scale, seed int64, workers int, progress func(done, total int)) testbed.SweepOptions {
-	opt := testbed.SweepOptions{Seed: seed, Workers: workers, Progress: progress}
-	switch scale {
+// SweepResults runs the §3.1 controlled-experiment grid once so Fig3, Fig4
+// and model training can share it (checkpoint stage "sweep").
+func (e Exec) SweepResults(progress func(done, total int)) ([]*testbed.Result, error) {
+	opt := testbed.SweepOptions{Seed: e.Seed, Workers: e.Workers, Progress: progress,
+		Checkpoint: e.Checkpoint.Stage("sweep")}
+	switch e.Scale {
 	case Quick:
 		opt = opt.QuickGrid()
 		opt.RunsPerConfig = 5
@@ -76,18 +72,13 @@ func sweepOpts(scale Scale, seed int64, workers int, progress func(done, total i
 	case Paper:
 		opt.RunsPerConfig = 50
 	}
-	return opt
-}
-
-// SweepResults runs the §3.1 controlled-experiment grid (checkpoint
-// stage "sweep").
-func (e Exec) SweepResults(progress func(done, total int)) ([]*testbed.Result, error) {
-	opt := sweepOpts(e.Scale, e.Seed, e.Workers, progress)
-	opt.Checkpoint = e.Checkpoint.Stage("sweep")
 	return testbed.SweepCheckpointed(opt)
 }
 
-// Fig1 reproduces Figure 1 (checkpoint stage "fig1").
+// Fig1 reproduces Figure 1: the paper's illustrative setup of a 20 Mbps
+// access link with a 100 ms buffer and 20 ms latency behind the 950 Mbps /
+// 50 ms interconnect, run with and without interconnect congestion
+// (checkpoint stage "fig1").
 func (e Exec) Fig1() (Fig1Result, error) {
 	runs, dur := fig1Params(e.Scale)
 	specs := fig1Plan(runs, dur, e.Seed)
@@ -99,11 +90,10 @@ func (e Exec) Fig1() (Fig1Result, error) {
 	var out Fig1Result
 	var diffs [2][]float64
 	var covs [2][]float64
-	for _, v := range outs {
-		if v.err != nil {
+	for _, res := range outs {
+		if res == nil {
 			continue
 		}
-		res := v.res
 		out.Runs++
 		diffMs := float64(res.Features.MaxRTT-res.Features.MinRTT) / float64(time.Millisecond)
 		diffs[res.Scenario] = append(diffs[res.Scenario], diffMs)
@@ -116,7 +106,12 @@ func (e Exec) Fig1() (Fig1Result, error) {
 	return out, nil
 }
 
-// Multiplexing reproduces §3.3 (checkpoint stage "multiplexing").
+// Multiplexing reproduces §3.3: external-congestion detection as TGCong
+// concurrency drops (100/50/20/10), and self-induced detection with 1/2/5
+// competing access flows, on a 50 Mbps access link (checkpoint stage
+// "multiplexing"). Each run's seed is derived from its flat plan index
+// (cong groups first, then access-cross groups), reproducing the
+// historical shared counter.
 func (e Exec) Multiplexing(clf *core.Classifier) ([]MultiplexPoint, error) {
 	runs := 3
 	dur := 5 * time.Second
@@ -165,20 +160,20 @@ func (e Exec) Multiplexing(clf *core.Classifier) ([]MultiplexPoint, error) {
 	for _, cong := range congGroups {
 		match, total := 0, 0
 		for i := 0; i < runs; i++ {
-			v := outcomes[idx]
+			res := outcomes[idx]
 			idx++
-			if v.err != nil {
+			if res == nil {
 				continue
 			}
 			// Evaluate against the labeling rule, as the paper's
 			// accuracy numbers do: runs whose slow start reached the
 			// access threshold despite cross traffic are the
 			// expected confusion, not classifier errors.
-			if v.res.Label(0.8) != testbed.External {
+			if res.Label(0.8) != testbed.External {
 				continue
 			}
 			total++
-			if clf.ClassifyFeatures(v.res.Features).Class == core.External {
+			if clf.ClassifyFeatures(res.Features).Class == core.External {
 				match++
 			}
 		}
@@ -187,13 +182,13 @@ func (e Exec) Multiplexing(clf *core.Classifier) ([]MultiplexPoint, error) {
 	for _, cross := range crossGroups {
 		match, total := 0, 0
 		for i := 0; i < runs; i++ {
-			v := outcomes[idx]
+			res := outcomes[idx]
 			idx++
-			if v.err != nil {
+			if res == nil {
 				continue
 			}
 			total++
-			if clf.ClassifyFeatures(v.res.Features).Class == core.SelfInduced {
+			if clf.ClassifyFeatures(res.Features).Class == core.SelfInduced {
 				match++
 			}
 		}
@@ -202,11 +197,12 @@ func (e Exec) Multiplexing(clf *core.Classifier) ([]MultiplexPoint, error) {
 	return out, nil
 }
 
-// disputeOpts builds the Dispute2014 campaign options for a scale (see
-// DisputeData).
-func disputeOpts(scale Scale, seed int64, workers int, progress func(done, total int)) mlab.DisputeOptions {
-	opt := mlab.DisputeOptions{Seed: seed, Workers: workers, Progress: progress}
-	switch scale {
+// DisputeData generates the Dispute2014 dataset behind Figures 5, 7, 8
+// and 9 at the requested scale (checkpoint stage "dispute").
+func (e Exec) DisputeData(progress func(done, total int)) ([]mlab.DisputeTest, error) {
+	opt := mlab.DisputeOptions{Seed: e.Seed, Workers: e.Workers, Progress: progress,
+		Checkpoint: e.Checkpoint.Stage("dispute")}
+	switch e.Scale {
 	case Quick:
 		opt.TestsPerCell = 1
 		opt.Hours = []int{3, 5, 18, 21}
@@ -221,22 +217,15 @@ func disputeOpts(scale Scale, seed int64, workers int, progress func(done, total
 		opt.TestsPerCell = 4
 		opt.Duration = 10 * time.Second
 	}
-	return opt
-}
-
-// DisputeData generates the Dispute2014 dataset (checkpoint stage
-// "dispute").
-func (e Exec) DisputeData(progress func(done, total int)) ([]mlab.DisputeTest, error) {
-	opt := disputeOpts(e.Scale, e.Seed, e.Workers, progress)
-	opt.Checkpoint = e.Checkpoint.Stage("dispute")
 	return mlab.Dispute2014(opt)
 }
 
-// tslpOpts builds the TSLP2017 campaign options for a scale (see
-// TSLPData).
-func tslpOpts(scale Scale, seed int64, workers int, progress func(done int)) mlab.TSLPOptions {
-	opt := mlab.TSLPOptions{Seed: seed, Workers: workers, Progress: progress}
-	switch scale {
+// TSLPData generates the TSLP2017 campaign behind Figure 6 and §5.4 at
+// the requested scale (checkpoint stage "tslp").
+func (e Exec) TSLPData(progress func(done, total int)) ([]mlab.TSLPTest, error) {
+	opt := mlab.TSLPOptions{Seed: e.Seed, Workers: e.Workers, Progress: progress,
+		Checkpoint: e.Checkpoint.Stage("tslp")}
+	switch e.Scale {
 	case Quick:
 		opt.Days = 3
 		opt.Duration = 8 * time.Second
@@ -249,12 +238,5 @@ func tslpOpts(scale Scale, seed int64, workers int, progress func(done int)) mla
 	case Paper:
 		opt.Days = 75
 	}
-	return opt
-}
-
-// TSLPData generates the TSLP2017 campaign (checkpoint stage "tslp").
-func (e Exec) TSLPData(progress func(done int)) ([]mlab.TSLPTest, error) {
-	opt := tslpOpts(e.Scale, e.Seed, e.Workers, progress)
-	opt.Checkpoint = e.Checkpoint.Stage("tslp")
 	return mlab.TSLP2017(opt)
 }

@@ -1,7 +1,8 @@
 // Package experiments reproduces every figure and table of the paper's
-// evaluation. Each Fig* function runs the workload it needs on the emulator
-// (or takes a pre-generated dataset) and returns the series the paper plots,
-// so ccsig figures and the benchmark harness print the same rows.
+// evaluation. Exec methods run the emulated workloads; each Fig* function
+// either is one of them or takes the dataset one of them generated, and
+// returns the series the paper plots, so ccsig figures and the benchmark
+// harness print the same rows.
 package experiments
 
 import (
@@ -14,31 +15,9 @@ import (
 	"tcpsig/internal/dtree"
 	"tcpsig/internal/features"
 	"tcpsig/internal/mlab"
-	"tcpsig/internal/parallel"
 	"tcpsig/internal/stats"
 	"tcpsig/internal/testbed"
 )
-
-// runOut is the outcome of one planned emulator run.
-type runOut struct {
-	res *testbed.Result
-	err error
-}
-
-// runAll executes the planned configs across workers (0/1 = serial,
-// negative = GOMAXPROCS) and returns the outcomes slotted by plan index,
-// so every aggregation below consumes them in the order the serial loops
-// did.
-func runAll(specs []testbed.Config, workers int) []runOut {
-	out := make([]runOut, len(specs))
-	parallel.ForEachOrdered(len(specs), parallel.OptWorkers(workers),
-		func(i int) runOut {
-			res, err := testbed.Run(specs[i])
-			return runOut{res: res, err: err}
-		},
-		func(i int, v runOut) { out[i] = v })
-	return out
-}
 
 // Scale selects how much work an experiment runs.
 type Scale int
@@ -119,17 +98,6 @@ func fig1Plan(runs int, dur time.Duration, seed int64) []testbed.Config {
 	return specs
 }
 
-// Fig1 reproduces Figure 1: the paper's illustrative setup of a 20 Mbps
-// access link with a 100 ms buffer and 20 ms latency behind the 950 Mbps /
-// 50 ms interconnect, run with and without interconnect congestion. The
-// runs fan out over workers (0/1 = serial) with byte-identical output at
-// every worker count.
-func Fig1(scale Scale, seed int64, workers int) Fig1Result {
-	// Without a checkpoint, Exec.Fig1 has no failure mode.
-	out, _ := Exec{Scale: scale, Seed: seed, Workers: workers}.Fig1()
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Figures 3 & 4: classifier performance vs threshold, and the feature plane.
 
@@ -143,14 +111,6 @@ type ThresholdPoint struct {
 	RecallExt     float64
 	TrainN        int
 	TestN         int
-}
-
-// SweepResults runs the §3.1 controlled-experiment grid once so Fig3, Fig4
-// and model training can share it. workers fans the grid's runs out
-// concurrently (0/1 = serial, negative = GOMAXPROCS) without changing a
-// byte of the output.
-func SweepResults(scale Scale, seed int64, workers int, progress func(done, total int)) []*testbed.Result {
-	return testbed.Sweep(sweepOpts(scale, seed, workers, progress))
 }
 
 // Fig3 evaluates precision/recall across labeling thresholds with a 70/30
@@ -252,26 +212,8 @@ type MultiplexPoint struct {
 	Runs int
 }
 
-// Multiplexing reproduces §3.3: external-congestion detection as TGCong
-// concurrency drops (100/50/20/10), and self-induced detection with 1/2/5
-// competing access flows, on a 50 Mbps access link. The runs fan out over
-// workers with byte-identical output at every worker count; each run's
-// seed is derived from its flat plan index (cong groups first, then
-// access-cross groups), reproducing the historical shared counter.
-func Multiplexing(clf *core.Classifier, scale Scale, seed int64, workers int) []MultiplexPoint {
-	// Without a checkpoint, Exec.Multiplexing has no failure mode.
-	out, _ := Exec{Scale: scale, Seed: seed, Workers: workers}.Multiplexing(clf)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Figures 5, 7, 8, 9: Dispute2014.
-
-// DisputeData generates the Dispute2014 dataset at the requested scale,
-// fanning the NDT runs out over workers (0/1 = serial).
-func DisputeData(scale Scale, seed int64, workers int, progress func(done, total int)) []mlab.DisputeTest {
-	return mlab.GenerateDispute2014(disputeOpts(scale, seed, workers, progress))
-}
 
 // Fig5Row is one diurnal series: mean throughput by hour.
 type Fig5Row struct {
@@ -499,12 +441,6 @@ func Fig9(tests []mlab.DisputeTest, seed int64) []Fig7Row {
 
 // ---------------------------------------------------------------------------
 // Figure 6 & §5.4: TSLP2017.
-
-// TSLPData generates the TSLP2017 campaign at the requested scale,
-// fanning the NDT runs out over workers (0/1 = serial).
-func TSLPData(scale Scale, seed int64, workers int, progress func(done int)) []mlab.TSLPTest {
-	return mlab.GenerateTSLP2017(tslpOpts(scale, seed, workers, progress))
-}
 
 // Fig6Point is one timeline sample of Figure 6.
 type Fig6Point struct {

@@ -14,7 +14,10 @@ import (
 
 func sweepOnce(t *testing.T) []*testbed.Result {
 	t.Helper()
-	results := SweepResults(Quick, 1000, 0, nil)
+	results, err := Exec{Scale: Quick, Seed: 1000}.SweepResults(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) < 12 {
 		t.Fatalf("quick sweep yielded only %d results", len(results))
 	}
@@ -37,7 +40,10 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation")
 	}
-	r := Fig1(Quick, 1, 0)
+	r, err := Exec{Scale: Quick, Seed: 1}.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Runs < 6 {
 		t.Fatalf("only %d runs", r.Runs)
 	}
@@ -147,7 +153,10 @@ func TestDisputePipelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tests := DisputeData(Quick, 2000, 0, nil)
+	tests, err := Exec{Scale: Quick, Seed: 2000}.DisputeData(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tests) < 20 {
 		t.Fatalf("dispute data too small: %d", len(tests))
 	}
@@ -223,7 +232,10 @@ func TestTSLPPipelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tests := TSLPData(Quick, 3000, 0, nil)
+	tests, err := Exec{Scale: Quick, Seed: 3000}.TSLPData(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tests) < 30 {
 		t.Fatalf("tslp data too small: %d", len(tests))
 	}
@@ -272,7 +284,10 @@ func TestMultiplexingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Multiplexing(clf, Quick, 4000, 0)
+	rows, err := Exec{Scale: Quick, Seed: 4000}.Multiplexing(clf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var at100, at10 float64
 	for _, r := range rows {
 		if r.CongFlows == 100 {
@@ -299,7 +314,10 @@ func TestCCAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation")
 	}
-	rows := CCAblation(Quick, 5000, 0)
+	rows, err := Exec{Scale: Quick, Seed: 5000}.CCAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
 	byName := map[string]VariantRow{}
 	for _, r := range rows {
 		if r.ValidRuns == 0 {

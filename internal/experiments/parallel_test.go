@@ -32,7 +32,11 @@ func TestFig1ParallelMatchesSerial(t *testing.T) {
 		t.Skip("emulation is expensive")
 	}
 	enc := func(workers int) []byte {
-		b, err := json.Marshal(Fig1(Quick, 1, workers))
+		r, err := Exec{Scale: Quick, Seed: 1, Workers: workers}.Fig1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}

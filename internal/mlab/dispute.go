@@ -128,15 +128,14 @@ type DisputeOptions struct {
 	Progress func(done, total int)
 
 	// Workers is the number of NDT tests emulated concurrently. 0 or 1
-	// runs serially (the legacy path); negative means GOMAXPROCS. The
-	// dataset is byte-identical at every worker count: all shared-rng
-	// draws happen in a serial planning pass, and results are collected
-	// in test order.
+	// runs serially; negative means GOMAXPROCS. The dataset is
+	// byte-identical at every worker count: all shared-rng draws happen
+	// in a serial planning pass, and results are collected in test order.
 	Workers int
 
 	// Checkpoint, when non-nil with a Dir, persists completed chunks of
 	// the campaign and lets Dispute2014 resume from them (see
-	// internal/checkpoint). GenerateDispute2014 ignores it.
+	// internal/checkpoint).
 	Checkpoint *checkpoint.Spec
 }
 
@@ -299,14 +298,6 @@ func Dispute2014(opt DisputeOptions) ([]DisputeTest, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// GenerateDispute2014 is the legacy non-checkpointed entry point.
-func GenerateDispute2014(opt DisputeOptions) []DisputeTest {
-	opt.Checkpoint = nil
-	// Without a checkpoint, Dispute2014 has no failure mode.
-	out, _ := Dispute2014(opt)
-	return out
 }
 
 // DiurnalThroughput aggregates mean NDT throughput (Mbps) by hour for one

@@ -154,7 +154,10 @@ func TestGenerateDisputeSmall(t *testing.T) {
 		Duration:     5 * time.Second,
 		Seed:         77,
 	}
-	tests := GenerateDispute2014(opt)
+	tests, err := Dispute2014(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tests) < opt.Total()*3/4 {
 		t.Fatalf("only %d of %d tests valid", len(tests), opt.Total())
 	}
@@ -213,7 +216,10 @@ func TestGenerateTSLPSmall(t *testing.T) {
 		PeakEvery:    30 * time.Minute,
 		Seed:         11,
 	}
-	tests := GenerateTSLP2017(opt)
+	tests, err := TSLP2017(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tests) == 0 {
 		t.Fatal("no tests generated")
 	}

@@ -26,8 +26,14 @@ func TestDisputeParallelMatchesSerial(t *testing.T) {
 	serialOpt.Workers = 1
 	parallelOpt := opt
 	parallelOpt.Workers = 8
-	serial := GenerateDispute2014(serialOpt)
-	par := GenerateDispute2014(parallelOpt)
+	serial, err := Dispute2014(serialOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Dispute2014(parallelOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial) == 0 {
 		t.Fatal("no tests generated")
 	}

@@ -37,16 +37,16 @@ type TSLPOptions struct {
 
 	// Progress, when non-nil, is called after each test, always in test
 	// order and never concurrently, regardless of Workers.
-	Progress func(done int)
+	Progress func(done, total int)
 
 	// Workers is the number of tests emulated concurrently. 0 or 1 runs
-	// serially (the legacy path); negative means GOMAXPROCS. Output is
-	// byte-identical at every worker count.
+	// serially; negative means GOMAXPROCS. Output is byte-identical at
+	// every worker count.
 	Workers int
 
 	// Checkpoint, when non-nil with a Dir, persists completed chunks of
 	// the campaign and lets TSLP2017 resume from them (see
-	// internal/checkpoint). GenerateTSLP2017 ignores it.
+	// internal/checkpoint).
 	Checkpoint *checkpoint.Spec
 }
 
@@ -200,7 +200,7 @@ func TSLP2017(opt TSLPOptions) ([]TSLPTest, error) {
 		},
 		func(i int, v ndtRecord) {
 			if opt.Progress != nil {
-				opt.Progress(i + 1)
+				opt.Progress(i+1, len(specs))
 			}
 			if v.Res == nil {
 				return
@@ -213,12 +213,4 @@ func TSLP2017(opt TSLPOptions) ([]TSLPTest, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// GenerateTSLP2017 is the legacy non-checkpointed entry point.
-func GenerateTSLP2017(opt TSLPOptions) []TSLPTest {
-	opt.Checkpoint = nil
-	// Without a checkpoint, TSLP2017 has no failure mode.
-	out, _ := TSLP2017(opt)
-	return out
 }

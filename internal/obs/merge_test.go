@@ -8,7 +8,7 @@ import (
 // TestZeroValueRegistry: the zero value must be usable without
 // NewRegistry. Before the lazy-init fix, the first Counter/Gauge/Histogram
 // registration on a zero-value Registry panicked with a nil-map write,
-// which is exactly what testbed.Sweep hit when handed a caller-constructed
+// which is exactly what the testbed sweep hit when handed a caller-constructed
 // &obs.Registry{}.
 func TestZeroValueRegistry(t *testing.T) {
 	var r Registry

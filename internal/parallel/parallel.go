@@ -31,8 +31,7 @@ func Workers(n int) int {
 }
 
 // OptWorkers normalizes an options-struct Workers field, whose zero value
-// must keep the legacy serial path so existing callers are unaffected:
-// 0 and 1 select the serial loop, negative selects GOMAXPROCS, n >= 2
+// runs serially: 0 and 1 select the serial loop, negative selects GOMAXPROCS, n >= 2
 // selects n workers. CLIs resolve their -j flag with Workers and store
 // the result here.
 func OptWorkers(n int) int {
@@ -51,7 +50,7 @@ func OptWorkers(n int) int {
 // other indices and with collect. collect needs no synchronization; it
 // is the serial tail of the loop. With workers <= 1 (or n <= 1) no
 // goroutines are spawned and the call degrades to the plain serial loop,
-// which is the legacy -j 1 path.
+// which is the -j 1 path.
 func ForEachOrdered[T any](n, workers int, fn func(i int) T, collect func(i int, v T)) {
 	if n <= 0 {
 		return

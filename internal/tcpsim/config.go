@@ -1,7 +1,5 @@
 package tcpsim
 
-import "time"
-
 // DefaultMSS is the segment size used throughout the paper's experiments
 // (standard Ethernet MTU minus 40 bytes of headers).
 const DefaultMSS = 1460
@@ -20,18 +18,6 @@ type Config struct {
 	// AckEvery makes the receiver acknowledge every n-th in-order
 	// segment (RFC 1122 delayed ACKs use 2). 1 disables delayed ACKs.
 	AckEvery int
-
-	// DelAckTimeout bounds how long an ACK may be delayed. Default 40 ms.
-	DelAckTimeout time.Duration
-
-	// MinRTO and MaxRTO clamp the retransmission timeout. Defaults
-	// 200 ms and 120 s.
-	MinRTO time.Duration
-	MaxRTO time.Duration
-
-	// NewReno enables RFC 6582 partial-ACK retransmission during fast
-	// recovery. DisableNewReno turns it off (pure Reno recovery).
-	DisableNewReno bool
 
 	// DisableTLP turns off tail-loss probes (RFC 8985-style PTO). With
 	// TLP on (the default, as in Linux), a lost flight tail is repaired
@@ -60,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AckEvery == 0 {
 		c.AckEvery = 2
-	}
-	if c.DelAckTimeout == 0 {
-		c.DelAckTimeout = 40 * time.Millisecond
 	}
 	if c.NewCC == nil {
 		c.NewCC = func() CongestionControl { return &Reno{} }

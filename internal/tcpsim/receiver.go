@@ -1,9 +1,14 @@
 package tcpsim
 
 import (
+	"time"
+
 	"tcpsig/internal/netem"
 	"tcpsig/internal/sim"
 )
+
+// delAckTimeout bounds how long an ACK may be delayed.
+const delAckTimeout = 40 * time.Millisecond
 
 // ReceiverStats aggregates client-side counters.
 type ReceiverStats struct {
@@ -183,7 +188,7 @@ func (r *Receiver) Input(p *netem.Packet) {
 	if r.unackedSeg >= r.cfg.AckEvery || len(r.ooo) > 0 {
 		r.sendAck()
 	} else if !r.delack.Armed() {
-		r.delack.Reset(r.cfg.DelAckTimeout)
+		r.delack.Reset(delAckTimeout)
 	}
 }
 

@@ -2,27 +2,25 @@ package tcpsim
 
 import "time"
 
+// Linux-like clamp bounds for the retransmission timeout.
+const (
+	minRTO = 200 * time.Millisecond
+	maxRTO = 120 * time.Second
+)
+
 // RTOEstimator implements the RFC 6298 retransmission timeout computation:
 // SRTT/RTTVAR smoothing, a lower bound, and exponential backoff.
 type RTOEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	rto    time.Duration
-	minRTO time.Duration
-	maxRTO time.Duration
 	valid  bool
 }
 
-// NewRTOEstimator returns an estimator with the given clamp bounds; zero
-// values default to Linux-like 200 ms / 120 s. The initial RTO is 1 s.
-func NewRTOEstimator(min, max time.Duration) *RTOEstimator {
-	if min <= 0 {
-		min = 200 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 120 * time.Second
-	}
-	return &RTOEstimator{rto: time.Second, minRTO: min, maxRTO: max}
+// NewRTOEstimator returns an estimator clamped to 200 ms / 120 s. The
+// initial RTO is 1 s.
+func NewRTOEstimator() *RTOEstimator {
+	return &RTOEstimator{rto: time.Second}
 }
 
 // Sample feeds a new RTT measurement.
@@ -47,12 +45,7 @@ func (e *RTOEstimator) Sample(rtt time.Duration) {
 }
 
 func (e *RTOEstimator) clamp() {
-	if e.rto < e.minRTO {
-		e.rto = e.minRTO
-	}
-	if e.rto > e.maxRTO {
-		e.rto = e.maxRTO
-	}
+	e.rto = min(max(e.rto, minRTO), maxRTO)
 }
 
 // RTO returns the current retransmission timeout.

@@ -166,7 +166,7 @@ func newSender(eng *sim.Engine, host *netem.Host, flow netem.FlowKey, cfg Config
 		flow: flow,
 		cfg:  cfg,
 		cc:   cfg.NewCC(),
-		rto:  NewRTOEstimator(cfg.MinRTO, cfg.MaxRTO),
+		rto:  NewRTOEstimator(),
 		rwnd: cfg.RcvWindow,
 		iss:  eng.Rand().Uint32(),
 	}
@@ -621,7 +621,7 @@ func (s *Sender) onNewAck(ack uint32) {
 			s.cc.OnExitRecovery()
 			s.tr.State(s.eng.Now(), s.comp, "recovery-exit")
 			s.traceCwnd()
-		} else if s.cfg.DisableSACK && !s.cfg.DisableNewReno {
+		} else if s.cfg.DisableSACK {
 			// Partial ACK: the next hole is lost too (RFC 6582).
 			// With SACK, trySend's hole repair covers this.
 			s.retransmitFront()

@@ -272,7 +272,7 @@ func TestRenoMinSsthreshFloor(t *testing.T) {
 }
 
 func TestRTOEstimatorRFC6298(t *testing.T) {
-	e := NewRTOEstimator(0, 0)
+	e := NewRTOEstimator()
 	if e.RTO() != time.Second {
 		t.Fatalf("initial RTO = %v, want 1s", e.RTO())
 	}

@@ -60,7 +60,7 @@ func TestSweepFaultsReport(t *testing.T) {
 	// The clean regime must reproduce the seed sweep exactly: same valid
 	// count, and the report's tree must score those results to the same
 	// accuracy.
-	base := Sweep(quickFaultSweep())
+	base := mustSweep(t, quickFaultSweep())
 	if clean.Valid != len(base) {
 		t.Fatalf("clean.Valid = %d, seed sweep produced %d", clean.Valid, len(base))
 	}
@@ -96,8 +96,8 @@ func TestFaultedSweepDeterministicAndPerturbed(t *testing.T) {
 	sw.Faults = func(seed int64) netem.FaultInjector {
 		return faults.NewGilbertElliott(seed, 0.01, 0.3, 0, 0.8)
 	}
-	a := Sweep(sw)
-	b := Sweep(sw)
+	a := mustSweep(t, sw)
+	b := mustSweep(t, sw)
 	if len(a) != len(b) {
 		t.Fatalf("re-run produced %d results vs %d", len(b), len(a))
 	}
@@ -111,7 +111,7 @@ func TestFaultedSweepDeterministicAndPerturbed(t *testing.T) {
 	// to the clean sweep with the same seeds.
 	clean := sw
 	clean.Faults = nil
-	c := Sweep(clean)
+	c := mustSweep(t, clean)
 	perturbed := len(a) != len(c)
 	for i := 0; !perturbed && i < len(a) && i < len(c); i++ {
 		if a[i].Features != c[i].Features {

@@ -47,7 +47,7 @@ func TestSweepLiveMetricsByteIdentity(t *testing.T) {
 			opt := liveGrid(workers)
 			opt.Metrics = obs.NewRegistry()
 			opt.LiveMetrics = tap
-			results := Sweep(opt)
+			results := mustSweep(t, opt)
 			if len(results) == 0 {
 				t.Fatal("sweep produced no valid runs")
 			}
@@ -105,7 +105,7 @@ func TestSweepLiveMetricsWithoutRegistry(t *testing.T) {
 		}
 		snaps++
 	}
-	if results := Sweep(opt); len(results) == 0 {
+	if results := mustSweep(t, opt); len(results) == 0 {
 		t.Fatal("sweep produced no valid runs")
 	}
 	if snaps != 2 {

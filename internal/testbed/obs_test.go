@@ -113,7 +113,7 @@ func TestSweepMetrics(t *testing.T) {
 		Duration:      2 * time.Second,
 		Metrics:       reg,
 	}
-	results := Sweep(opt)
+	results := mustSweep(t, opt)
 	if len(results) == 0 {
 		t.Fatal("sweep produced no valid runs")
 	}

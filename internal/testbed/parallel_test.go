@@ -6,8 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"tcpsig/internal/checkpoint"
 	"tcpsig/internal/obs"
 )
+
+// mustSweep runs opt and fails tb if the sweep returns an error.
+func mustSweep(tb testing.TB, opt SweepOptions) []*Result {
+	tb.Helper()
+	results, err := SweepCheckpointed(opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
+}
 
 // parallelGrid is a small but non-trivial grid: two buffers, both
 // scenarios, two runs each = 8 runs, short enough for CI but with enough
@@ -31,15 +42,17 @@ func parallelGrid(workers int, metrics *obs.Registry, progress func(done, total 
 // seeds, features, the derived dataset, progress callback order, and the
 // metrics registry snapshot — into one byte string. Go's %v prints the
 // shortest uniquely-identifying decimal for a float64, so equal fingerprints
-// mean bit-identical floats.
-func sweepFingerprint(t *testing.T, workers int) []byte {
+// mean bit-identical floats. A non-nil ckpt persists the sweep, sending
+// every result and metric snapshot through the checkpoint chunk codec.
+func sweepFingerprint(t *testing.T, workers int, ckpt *checkpoint.Spec) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	reg := obs.NewRegistry()
 	opt := parallelGrid(workers, reg, func(done, total int) {
 		fmt.Fprintf(&b, "progress %d/%d\n", done, total)
 	})
-	results := Sweep(opt)
+	opt.Checkpoint = ckpt
+	results := mustSweep(t, opt)
 	if len(results) == 0 {
 		t.Fatal("sweep produced no valid runs")
 	}
@@ -59,16 +72,24 @@ func sweepFingerprint(t *testing.T, workers int) []byte {
 
 // TestParallelMatchesSerial is the tentpole acceptance test: the sweep must
 // produce byte-identical output (results, dataset, metrics snapshot,
-// progress sequence) at every worker count.
+// progress sequence) at every worker count, and with a checkpoint
+// directory exactly as in memory.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation is expensive")
 	}
-	serial := sweepFingerprint(t, 1)
-	for _, workers := range []int{2, 8} {
-		if got := sweepFingerprint(t, workers); !bytes.Equal(got, serial) {
-			t.Errorf("Workers=%d output differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				workers, serial, workers, got)
+	serial := sweepFingerprint(t, 1, nil)
+	for _, tc := range []struct {
+		workers int
+		ckpt    bool
+	}{{2, false}, {8, false}, {1, true}, {8, true}} {
+		var ckpt *checkpoint.Spec
+		if tc.ckpt {
+			ckpt = &checkpoint.Spec{Dir: t.TempDir(), ChunkSize: 3}
+		}
+		if got := sweepFingerprint(t, tc.workers, ckpt); !bytes.Equal(got, serial) {
+			t.Errorf("Workers=%d checkpoint=%t output differs from serial in memory:\n--- serial ---\n%s\n--- got ---\n%s",
+				tc.workers, tc.ckpt, serial, got)
 		}
 	}
 }
@@ -125,13 +146,13 @@ func TestSweepNilMetricsInvalidRun(t *testing.T) {
 	}
 	opt := invalidGrid()
 	opt.Metrics = nil
-	if results := Sweep(opt); len(results) != 0 {
+	if results := mustSweep(t, opt); len(results) != 0 {
 		t.Fatalf("expected every run invalid, got %d valid results", len(results))
 	}
 }
 
 // TestSweepZeroValueMetricsRegistry pins the crash this PR fixes: a caller
-// handing Sweep a zero-value &obs.Registry{} (instead of obs.NewRegistry())
+// handing the sweep a zero-value &obs.Registry{} (instead of obs.NewRegistry())
 // used to die on a nil-map write inside the invalid-run counter update.
 // On pre-PR code this test panics.
 func TestSweepZeroValueMetricsRegistry(t *testing.T) {
@@ -141,7 +162,7 @@ func TestSweepZeroValueMetricsRegistry(t *testing.T) {
 	opt := invalidGrid()
 	reg := &obs.Registry{}
 	opt.Metrics = reg
-	if results := Sweep(opt); len(results) != 0 {
+	if results := mustSweep(t, opt); len(results) != 0 {
 		t.Fatalf("expected every run invalid, got %d valid results", len(results))
 	}
 	cell := "sweep.cell{rate=10M,loss=1,lat=20ms,buf=30ms,scen=self}"
@@ -161,7 +182,7 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := parallelGrid(bench.workers, nil, nil)
-				if res := Sweep(opt); len(res) == 0 {
+				if res := mustSweep(b, opt); len(res) == 0 {
 					b.Fatal("sweep produced no valid runs")
 				}
 			}

@@ -14,8 +14,8 @@ import (
 // equivSweep is a small but real sweep: two rates × both scenarios ×
 // two repetitions, short tests — large enough to cycle packets and
 // trackers through the free lists thousands of times.
-func equivSweep(workers int) []*Result {
-	return Sweep(SweepOptions{
+func equivSweep(t *testing.T, workers int) []*Result {
+	return mustSweep(t, SweepOptions{
 		Rates:         []float64{10, 20},
 		Losses:        []float64{0},
 		Latencies:     []time.Duration{20 * time.Millisecond},
@@ -86,12 +86,12 @@ func TestSweepPoolingEquivalence(t *testing.T) {
 	var flowInfoProbe flowrtt.FlowInfo
 	_ = flowInfoProbe // keep the import honest if Result.Flow changes shape
 
-	pooledJ1 := equivSweep(1)
-	pooledJ8 := equivSweep(8)
+	pooledJ1 := equivSweep(t, 1)
+	pooledJ8 := equivSweep(t, 8)
 
 	prev := netem.SetDefaultPooling(false)
-	unpooledJ1 := equivSweep(1)
-	unpooledJ8 := equivSweep(8)
+	unpooledJ1 := equivSweep(t, 1)
+	unpooledJ8 := equivSweep(t, 8)
 	netem.SetDefaultPooling(prev)
 
 	if len(pooledJ1) == 0 {

@@ -8,7 +8,6 @@ import (
 	"tcpsig/internal/dtree"
 	"tcpsig/internal/netem"
 	"tcpsig/internal/obs"
-	"tcpsig/internal/parallel"
 	"tcpsig/internal/tcpsim"
 )
 
@@ -61,11 +60,10 @@ type SweepOptions struct {
 	Progress func(done, total int)
 
 	// Workers is the number of runs executed concurrently. 0 or 1 runs
-	// the grid serially (the legacy path); negative means GOMAXPROCS.
-	// Every worker count produces byte-identical output: run seeds are
-	// derived from grid position, results are collected in run order, and
-	// metrics are folded in run order (see DESIGN.md, "Concurrency
-	// model").
+	// the grid serially; negative means GOMAXPROCS. Every worker count
+	// produces byte-identical output: run seeds are derived from grid
+	// position, results are collected in run order, and metrics are
+	// folded in run order (see DESIGN.md, "Concurrency model").
 	Workers int
 
 	// Metrics, when non-nil, accumulates per-cell summaries across the
@@ -85,7 +83,7 @@ type SweepOptions struct {
 
 	// Checkpoint, when non-nil with a Dir, makes SweepCheckpointed
 	// persist completed chunks and resume from them (see
-	// internal/checkpoint). Sweep ignores it.
+	// internal/checkpoint).
 	Checkpoint *checkpoint.Spec
 
 	// Stream, when non-nil, receives every valid result in run order as
@@ -201,48 +199,6 @@ func (o SweepOptions) plan() []sweepRun {
 	return specs
 }
 
-// sweepOut is the full outcome of one run: the result (or error) plus the
-// run's private metrics registry, folded into the sweep registry by the
-// ordered collector.
-type sweepOut struct {
-	res *Result
-	err error
-	reg *obs.Registry
-}
-
-// Sweep runs the full grid for both scenarios and returns every valid
-// result. Runs whose flows fail the 10-sample validity filter are skipped,
-// exactly as the paper discards them. With Workers > 1 the runs execute
-// concurrently but all output — result order, Progress calls, the Metrics
-// registry — is byte-identical to the serial sweep.
-func Sweep(opt SweepOptions) []*Result {
-	opt = opt.withDefaults()
-	specs := opt.plan()
-	total := len(specs)
-	out := make([]*Result, 0, total)
-	parallel.ForEachOrdered(total, parallel.OptWorkers(opt.Workers),
-		func(i int) sweepOut {
-			var reg *obs.Registry
-			if opt.Metrics != nil || opt.LiveMetrics != nil {
-				reg = obs.NewRegistry()
-			}
-			return runSweepCell(specs[i], reg)
-		},
-		func(i int, v sweepOut) {
-			if opt.Progress != nil {
-				opt.Progress(i+1, total)
-			}
-			opt.Metrics.Merge(v.reg)
-			if opt.LiveMetrics != nil {
-				opt.LiveMetrics(v.reg.Snapshot())
-			}
-			if v.err == nil {
-				out = append(out, v.res)
-			}
-		})
-	return out
-}
-
 // identity renders the sweep plan's deterministic description for the
 // checkpoint manifest: everything that shapes the run list, nothing that
 // doesn't round-trip (function fields like CC and Faults cannot be
@@ -256,6 +212,8 @@ func (o SweepOptions) identity() string {
 	// a live-telemetry sweep records metrics and stays resumable both
 	// with and without the admin server as long as one of the two is on.
 	metrics := o.Metrics != nil || o.LiveMetrics != nil
+	// The "testbed.Sweep v1" tag names the manifest format, not a Go
+	// function; it stays fixed so existing checkpoints still resume.
 	return fmt.Sprintf("testbed.Sweep v1 seed=%d rates=%v losses=%v lats=%v bufs=%v runs=%d cong=%d dur=%s metrics=%t",
 		o.Seed, o.Rates, o.Losses, o.Latencies, o.Buffers, o.RunsPerConfig, o.CongFlows, o.Duration, metrics)
 }
@@ -270,30 +228,28 @@ type sweepRecord struct {
 	Metrics []obs.Metric `json:"metrics,omitempty"`
 }
 
-// SweepCheckpointed is Sweep with durable progress: runs execute in
-// chunks, every completed chunk is persisted under opt.Checkpoint, and a
-// resumed sweep replays verified chunks instead of recomputing them. All
-// collected output — result order, Progress calls, the Metrics fold,
-// Stream calls — is byte-identical to an uninterrupted run at any worker
-// count. A nil Checkpoint (or empty Dir) runs fully in memory.
+// SweepCheckpointed runs the full grid for both scenarios and returns
+// every valid result. Runs whose flows fail the 10-sample validity filter
+// are skipped, exactly as the paper discards them. With opt.Checkpoint
+// set, runs execute in chunks, every completed chunk is persisted, and a
+// resumed sweep replays verified chunks instead of recomputing them; a nil
+// Checkpoint (or empty Dir) runs fully in memory. All collected output —
+// result order, Progress calls, the Metrics fold, Stream calls — is
+// byte-identical with or without a checkpoint, across resumes, and at any
+// worker count.
 func SweepCheckpointed(opt SweepOptions) ([]*Result, error) {
 	opt = opt.withDefaults()
 	specs := opt.plan()
 	total := len(specs)
+	withMetrics := opt.Metrics != nil || opt.LiveMetrics != nil
 	var out []*Result
 	err := checkpoint.Run(opt.Checkpoint, opt.identity(), total, opt.Workers,
 		func(i int) sweepRecord {
 			var reg *obs.Registry
-			if opt.Metrics != nil || opt.LiveMetrics != nil {
+			if withMetrics {
 				reg = obs.NewRegistry()
 			}
-			v := runSweepCell(specs[i], reg)
-			rec := sweepRecord{Res: v.res, Metrics: v.reg.Snapshot()}
-			if v.err != nil {
-				rec.Err = v.err.Error()
-				rec.Res = nil
-			}
-			return rec
+			return runSweepCell(specs[i], reg)
 		},
 		func(i int, rec sweepRecord) {
 			if opt.Progress != nil {
@@ -320,16 +276,16 @@ func SweepCheckpointed(opt SweepOptions) ([]*Result, error) {
 	return out, nil
 }
 
-// runSweepCell executes one planned run and records its per-cell metrics
-// into reg (nil disables metrics; every registry call is nil-safe, so an
-// invalid run without a registry is counted nowhere instead of panicking
-// as the old unguarded sweep-level counter update did).
-func runSweepCell(sp sweepRun, reg *obs.Registry) sweepOut {
+// runSweepCell executes one planned run, records its per-cell metrics
+// into reg and returns the run as its persisted record (nil reg disables
+// metrics; every registry call is nil-safe, so an invalid run without a
+// registry is counted nowhere).
+func runSweepCell(sp sweepRun, reg *obs.Registry) sweepRecord {
 	res, err := Run(sp.cfg)
 	reg.Counter(sp.cell + ".runs").Inc()
 	if err != nil {
 		reg.Counter(sp.cell + ".invalid").Inc()
-		return sweepOut{err: err, reg: reg}
+		return sweepRecord{Err: err.Error(), Metrics: reg.Snapshot()}
 	}
 	reg.Counter(sp.cell + ".valid").Inc()
 	reg.Histogram(sp.cell+".normdiff", obs.LinearBuckets(0.1, 0.1, 10)).
@@ -338,7 +294,7 @@ func runSweepCell(sp sweepRun, reg *obs.Registry) sweepOut {
 		Observe(res.Features.CoV)
 	reg.Histogram(sp.cell+".slowstart_mbps", obs.LinearBuckets(5, 5, 12)).
 		Observe(res.SlowStartBps / 1e6)
-	return sweepOut{res: res, reg: reg}
+	return sweepRecord{Res: res, Metrics: reg.Snapshot()}
 }
 
 // Dataset converts sweep results into labeled training examples using the

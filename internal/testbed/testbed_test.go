@@ -237,7 +237,7 @@ func TestSweepAndTrainClassifier(t *testing.T) {
 		Duration:      4 * time.Second,
 		Seed:          100,
 	}
-	results := Sweep(opt)
+	results := mustSweep(t, opt)
 	if len(results) < opt.Total()*3/4 {
 		t.Fatalf("only %d of %d runs valid", len(results), opt.Total())
 	}

@@ -169,7 +169,10 @@ func TestbedExamples(opt TrainTestbedOptions) ([]Example, error) {
 			sw.RunsPerConfig = 4
 		}
 	}
-	results := testbed.Sweep(sw)
+	results, err := testbed.SweepCheckpointed(sw)
+	if err != nil {
+		return nil, fmt.Errorf("tcpsig: testbed sweep: %w", err)
+	}
 	ds := testbed.Dataset(results, opt.Threshold)
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("tcpsig: testbed sweep produced no labeled examples")
