@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"runtime"
 	"time"
 
 	"tcpsig"
@@ -94,7 +95,7 @@ func serveCmd(args []string) {
 	server := fs.String("server", "", "server IPv4 address (data sender) in the capture")
 	maxFlows := fs.Int("max-flows", 1_000_000, "flow-table cap; least-recently-active flows beyond it are evicted unclassified (0 = unbounded)")
 	shards := fs.Int("shards", 8, "flow-table lock shards")
-	buffer := fs.Int("buffer", 0, "ingest buffer in records (0 = default)")
+	buffer := fs.Int("buffer", 0, "ingest buffer in records between the reader and the classifier, handed over in slabs of up to 256 (0 = 4096)")
 	replay := fs.Bool("replay", false, "replay the capture at its original timing; records are dropped (and counted) under backpressure instead of stalling the clock")
 	speed := fs.Float64("speed", 1, "replay speed multiplier, with -replay (2 = twice as fast)")
 	out := fs.String("o", "-", "NDJSON verdict output path ('-' = stdout)")
@@ -187,7 +188,25 @@ func serveCmd(args []string) {
 		// never retains it.
 		Recycle: true,
 	})
+	// Without -replay, the reader loop and the pump's drain goroutine are
+	// two stages of one pull-based pipeline. On one P a slab hand-off is a
+	// goroutine switch; on more it is a wake-up on another core, and
+	// throughput then swings with whether a second core happens to be
+	// free. One P keeps serve's speed and CPU per record the same on a
+	// busy machine as on an idle one. -replay keeps every P: its clock
+	// must not wait for the classifier. Set after the model is loaded,
+	// because training fans out.
+	if !*replay {
+		runtime.GOMAXPROCS(1)
+	}
 	pump := stream.NewPump(table, *buffer)
+	// Verdicts are buffered while the classifier has records in hand and
+	// written out as soon as it runs dry, so no verdict waits for input.
+	pump.OnIdle(func() {
+		if err := bw.Flush(); err != nil && writeErr == nil {
+			writeErr = err
+		}
+	})
 	admin.AttachMetrics(telemetry.CombinedMetrics(table.Metrics, pump.Metrics))
 
 	rd := pcap.NewReader(in)
@@ -206,9 +225,12 @@ func serveCmd(args []string) {
 		}
 		records++
 		crec := pcap.RecordToCapture(rec, ip)
+		// The pump hands records over in slabs; hand off the partial one
+		// wherever this loop may stall, so its records are not held back.
 		if *replay {
 			if !first {
 				if d := time.Duration(float64(crec.At-prevAt) / *speed); d > 0 {
+					pump.Flush()
 					time.Sleep(d)
 				}
 			}
@@ -217,6 +239,14 @@ func serveCmd(args []string) {
 			pump.Offer(crec)
 		} else {
 			pump.Feed(crec)
+		}
+		if rd.Buffered() == 0 {
+			// The next read may block. Hand off the partial slab, and on
+			// one P let the drain goroutine take it first: a goroutine
+			// blocked in a read holds its P until the runtime's monitor
+			// takes it back, which can be milliseconds later.
+			pump.Flush()
+			runtime.Gosched()
 		}
 	}
 	pump.Close()

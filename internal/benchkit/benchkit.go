@@ -9,6 +9,8 @@
 package benchkit
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"tcpsig/internal/flowrtt"
 	"tcpsig/internal/netem"
 	"tcpsig/internal/obs"
+	"tcpsig/internal/pcap"
 	"tcpsig/internal/sim"
 	"tcpsig/internal/stream"
 	"tcpsig/internal/tcpsim"
@@ -43,6 +46,7 @@ func All() []Benchmark {
 		{"EmulatedTransfer", EmulatedTransfer},
 		{"FlowRTTExtraction", FlowRTTExtraction},
 		{"StreamIngest", StreamIngest},
+		{"ServeCapture", ServeCapture},
 		{"FeatureExtraction", FeatureExtraction},
 		{"TreePredict", TreePredict},
 	}
@@ -217,13 +221,10 @@ func FlowRTTExtraction(b *testing.B) {
 	}
 }
 
-// StreamIngest measures the streaming classification table end to end:
-// every capture record of a 10-second transfer is fed through one recycling
-// Table per iteration, then Flush classifies the flow. The table persists
-// across iterations, so after the first pass its free lists supply all
-// per-flow state and the steady-state figure isolates ingest cost.
-func StreamIngest(b *testing.B) {
-	b.ReportAllocs()
+// ingestFixture is the input of the streaming bodies: the server-side
+// capture of a 10-second transfer, and a classifier trained on synthetic
+// feature points.
+func ingestFixture(b *testing.B) (*netem.Capture, netem.Addr, *core.Classifier) {
 	eng := sim.NewEngine(77)
 	net := netem.New(eng)
 	client := net.NewHost("client")
@@ -250,6 +251,17 @@ func StreamIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return capt, server.Addr(), clf
+}
+
+// StreamIngest measures the streaming classification table end to end:
+// every capture record of a 10-second transfer is fed through one recycling
+// Table per iteration, then Flush classifies the flow. The table persists
+// across iterations, so after the first pass its free lists supply all
+// per-flow state and the steady-state figure isolates ingest cost.
+func StreamIngest(b *testing.B) {
+	b.ReportAllocs()
+	capt, _, clf := ingestFixture(b)
 	verdicts := 0
 	table := stream.NewTable(stream.Config{
 		Classifier: clf,
@@ -266,6 +278,74 @@ func StreamIngest(b *testing.B) {
 	if verdicts < b.N {
 		b.Fatalf("expected >=%d verdicts, got %d", b.N, verdicts)
 	}
+}
+
+// ServeCapture measures what `ccsig serve` does with a capture, in
+// process: each iteration decodes the transfer's pcap bytes, converts the
+// records, feeds them through a fresh Pump (handing off a partial slab
+// where serve would, when the reader's buffer runs dry) into one
+// recycling Table, and flushes it. The per-serve setup — reader buffer,
+// pump, drain goroutine — is part of each iteration.
+func ServeCapture(b *testing.B) {
+	b.ReportAllocs()
+	capt, server, clf := ingestFixture(b)
+	var raw bytes.Buffer
+	if err := pcap.NewWriter(&raw).WriteCapture(capt); err != nil {
+		b.Fatal(err)
+	}
+	ip := pcap.ServerIP(server)
+	verdicts := 0
+	table := stream.NewTable(stream.Config{
+		Classifier: clf,
+		Emit:       func(stream.FlowResult) { verdicts++ },
+		Recycle:    true,
+	})
+	b.SetBytes(int64(raw.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd := pcap.NewReader(bytes.NewReader(raw.Bytes()))
+		p := stream.NewPump(table, 0)
+		for {
+			rec, err := rd.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Feed(pcap.RecordToCapture(rec, ip))
+			if rd.Buffered() == 0 {
+				p.Flush()
+			}
+		}
+		p.Close()
+		table.Flush()
+	}
+	if verdicts < b.N {
+		b.Fatalf("expected >=%d verdicts, got %d", b.N, verdicts)
+	}
+}
+
+// pumpFeed measures the steady-state pump hand-off: the capture's records
+// are fed round and round through one Pump into a recycling Table. After
+// the warm-up pass the flow is a tombstone, as most records are in a
+// long-running serve.
+func pumpFeed(b *testing.B) {
+	b.ReportAllocs()
+	capt, _, clf := ingestFixture(b)
+	table := stream.NewTable(stream.Config{Classifier: clf, Emit: func(stream.FlowResult) {}, Recycle: true})
+	p := stream.NewPump(table, 0)
+	recs := capt.Records
+	for _, rec := range recs {
+		p.Feed(rec)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Feed(recs[i%len(recs)])
+	}
+	b.StopTimer()
+	p.Close()
+	table.Flush()
 }
 
 // FeatureExtraction measures NormDiff/CoV computation.

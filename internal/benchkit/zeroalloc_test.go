@@ -19,8 +19,9 @@ import (
 // Besides the registered bodies, the helpers run here with extra inputs
 // that reach hot functions the registered topologies never execute: a RED
 // queue marking ECN (with tracing, so marks are recorded), a token-bucket
-// shaper, and two flows through a router whose jittered ACK path delivers
-// same-instant bursts through the batch path. They are not registered, so
+// shaper, two flows through a router whose jittered ACK path delivers
+// same-instant bursts through the batch path, and the stream pump's
+// steady-state Feed, slab hand-offs included. They are not registered, so
 // the committed BENCH baseline keeps its bodies.
 func TestZeroAllocContracts(t *testing.T) {
 	if testing.Short() {
@@ -44,6 +45,7 @@ func TestZeroAllocContracts(t *testing.T) {
 		}},
 		{"NetemEnqueueShaped", func(b *testing.B) { netemEnqueue(b, nil, shapedLink) }},
 		{"SenderStepRoutedTraced", func(b *testing.B) { senderStep(b, true, true) }},
+		{"PumpFeed", pumpFeed},
 	}
 	for _, c := range contracts {
 		name, fn := c.name, c.fn

@@ -191,13 +191,23 @@ type Reader struct {
 	first   time.Duration
 	haveT0  bool
 	snapLen uint32
+	hdr     [16]byte // record header scratch; a local would escape through io.ReadFull
 	buf     []byte
 }
 
+// readBuffer is the Reader's input buffer. One fill holds ~900
+// header-only records, so draining one costs one read call.
+const readBuffer = 64 << 10
+
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReaderSize(r, readBuffer)}
 }
+
+// Buffered returns the number of input bytes read but not yet parsed. At
+// 0, the next call to Next reads from the underlying reader, and on a
+// pipe or socket that read may block.
+func (r *Reader) Buffered() int { return r.r.Buffered() }
 
 func (r *Reader) readHeader() error {
 	var hdr [24]byte
@@ -238,7 +248,7 @@ func (r *Reader) Next() (Record, error) {
 		}
 	}
 	for {
-		var rec [16]byte
+		rec := &r.hdr
 		if _, err := io.ReadFull(r.r, rec[:]); err != nil {
 			if err == io.ErrUnexpectedEOF {
 				err = fmt.Errorf("%w: partial record header", ErrTruncatedRecord)

@@ -336,6 +336,7 @@ func TestPumpBackpressure(t *testing.T) {
 	for _, rec := range lead {
 		p.Feed(rec)
 	}
+	p.Flush()
 	<-emitEntered
 	fed := uint64(len(lead))
 
@@ -370,6 +371,79 @@ func TestPumpBackpressure(t *testing.T) {
 	}
 	if got := tab.recordsObserved.Load(); got != p.Accepted() {
 		t.Fatalf("table observed %d records, want accepted count %d", got, p.Accepted())
+	}
+}
+
+// Slabs of every shape around the slab size deliver each record exactly
+// once and in order. Each record opens its own flow, so the table numbers
+// flows in observation order: the flushed verdicts, sorted by Seq, must
+// name the flows in feed order, and the table must have observed exactly
+// the accepted records. Partial hand-offs land at irregular points.
+func TestPumpSlabBoundaries(t *testing.T) {
+	clf := trainToy(t)
+	for _, buffer := range []int{1, 255, 256, 257} {
+		var got []FlowResult
+		tab := NewTable(Config{Classifier: clf, Emit: func(r FlowResult) { got = append(got, r) }})
+		p := NewPump(tab, buffer)
+		const n = 3*257 + 5
+		for i := 0; i < n; i++ {
+			p.Feed(netem.CaptureRecord{Dir: netem.DirOut, Pkt: netem.Packet{
+				Flow: mkFlow(i),
+				Seg:  netem.Segment{Seq: 1, PayloadLen: 1460, Flags: netem.FlagACK},
+			}})
+			if i%97 == 0 || i%131 == 0 {
+				p.Flush()
+			}
+		}
+		p.Close()
+		tab.Flush()
+
+		if len(got) != n {
+			t.Fatalf("buffer %d: %d flows observed, want %d", buffer, len(got), n)
+		}
+		for i, r := range got {
+			if r.Seq != uint64(i) || r.Flow != mkFlow(i) {
+				t.Fatalf("buffer %d: flow #%d is %v (seq %d), want %v", buffer, i, r.Flow, r.Seq, mkFlow(i))
+			}
+		}
+		if obs := tab.recordsObserved.Load(); obs != n || p.Accepted() != obs {
+			t.Fatalf("buffer %d: observed %d records, accepted %d, want %d", buffer, obs, p.Accepted(), n)
+		}
+	}
+}
+
+// With a stalled consumer, Offer admits exactly buffer records however
+// the buffer splits into slabs, handing off partial slabs included.
+func TestPumpOfferBoundAcrossSlabs(t *testing.T) {
+	clf := trainToy(t)
+	for _, buffer := range []int{255, 256, 257, 600} {
+		entered, release := make(chan struct{}), make(chan struct{})
+		tab := NewTable(Config{Classifier: clf, Emit: func(FlowResult) {
+			entered <- struct{}{}
+			<-release
+		}})
+		p := NewPump(tab, buffer)
+		recs := flowTrace(flowSpec{flow: mkFlow(0), isn: 100, samples: 12, retx: true, rising: true})
+		for _, rec := range recs[:len(recs)-2] {
+			p.Feed(rec)
+		}
+		p.Flush()
+		<-entered // the consumer is stalled in Emit with nothing queued
+
+		accepted := 0
+		for i := 1; i <= buffer+100; i++ {
+			if p.Offer(netem.CaptureRecord{Dir: netem.DirIn, Pkt: netem.Packet{Flow: mkFlow(i).Reverse()}}) {
+				accepted++
+			}
+			if i%100 == 0 {
+				p.Flush()
+			}
+		}
+		if accepted != buffer || p.Dropped() != 100 {
+			t.Fatalf("buffer %d: accepted %d, dropped %d with a stalled consumer; want %d and 100", buffer, accepted, p.Dropped(), buffer)
+		}
+		close(release)
+		p.Close()
 	}
 }
 
