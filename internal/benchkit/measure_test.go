@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -42,11 +43,25 @@ func TestMeasureDefaultsToOneRep(t *testing.T) {
 }
 
 func TestMeasureMinTimeAddsReps(t *testing.T) {
-	// Each testing.Benchmark run measures for ~1s, so a 2.5s floor needs
-	// at least three repetitions even with Reps 1.
-	reps := Measure(trivialBody, RunOptions{Reps: 1, MinTime: 2500 * time.Millisecond})
-	if len(reps) < 3 {
-		t.Fatalf("got %d reps, want >= 3 for a 2.5s floor", len(reps))
+	// Measure's contract for a MinTime floor: it keeps adding reps while
+	// the measured time is under the floor, and stops at the first rep
+	// that reaches it. How many reps that takes depends on how long each
+	// testing.Benchmark run lasts, which varies (the race detector, a
+	// loaded machine), so the test checks the sums, not a count.
+	const minTime = 2500 * time.Millisecond
+	reps := Measure(trivialBody, RunOptions{Reps: 1, MinTime: minTime})
+	measured := func(reps []Rep) time.Duration {
+		var sum time.Duration
+		for _, r := range reps {
+			sum += time.Duration(math.Round(r.NsPerOp * float64(r.N)))
+		}
+		return sum
+	}
+	if before := measured(reps[:len(reps)-1]); before >= minTime {
+		t.Fatalf("reps before the last measured %v, want < %v (a rep too many)", before, minTime)
+	}
+	if all := measured(reps); all < minTime {
+		t.Fatalf("%d reps measured %v, want >= %v", len(reps), all, minTime)
 	}
 }
 

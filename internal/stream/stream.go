@@ -73,10 +73,11 @@ type Config struct {
 
 	// FullInfo disables early emission: every flow is classified at
 	// Flush from its completed analysis, so Verdict.Flow carries final
-	// whole-flow byte accounting. This is how the batch entry points
-	// (ClassifyPcap, ClassifyCapture) consume the streaming core. The
-	// verdict itself is identical either way — it depends only on
-	// slow-start fields, which are final at early-emission time.
+	// whole-flow byte accounting. The verdict itself is identical either
+	// way — it depends only on slow-start fields, which are final at
+	// early-emission time. The batch entry points (ClassifyPcap,
+	// ClassifyCapture) take the early path too; FullInfo's users are the
+	// benchmark ledger and this package's tests.
 	FullInfo bool
 
 	// Recycle returns per-flow state (trackers and table entries) to

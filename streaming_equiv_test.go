@@ -105,7 +105,9 @@ func TestStreamingEarlyMatchesBatchOnGoldenCapture(t *testing.T) {
 			capt := goldenCapture(t, tc.seed, tc.flows)
 			c := toyClassifier(t)
 
-			batchVerdicts, batchErrs := c.ClassifyCapture(capt)
+			// The per-flow whole-trace path, not tcpsig.ClassifyCapture:
+			// that one takes the early path too.
+			batchVerdicts, batchErrs := c.inner.ClassifyCapture(capt)
 
 			early := make(map[netem.FlowKey]stream.FlowResult)
 			sawEarly := 0

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tcpsig/internal/flowrtt"
+	"tcpsig/internal/netem"
 	"tcpsig/internal/pcap"
 )
 
@@ -46,45 +47,77 @@ type FlowSummary struct {
 }
 
 // SummarizePcap analyzes every data-bearing flow of a server-side capture
-// without classifying it.
+// without classifying it. The capture is read in one pass with one
+// flowrtt.Tracker per flow, so each record is analyzed once; summaries are
+// in first-appearance order.
 func SummarizePcap(r io.Reader, serverIPv4 string) ([]FlowSummary, error) {
 	ip, err := parseIPv4(serverIPv4)
 	if err != nil {
 		return nil, err
 	}
-	records, err := pcap.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tcpsig: reading pcap: %w", err)
+	rd := pcap.NewReader(r)
+	var trackers []*flowrtt.Tracker
+	byFlow := make(map[netem.FlowKey]*flowrtt.Tracker)
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("tcpsig: reading pcap: %w", err)
+		}
+		crec := pcap.RecordToCapture(rec, ip)
+		// Route as the streaming table does: outgoing data creates its
+		// flow's tracker, incoming ACKs only advance an existing one.
+		p := &crec.Pkt
+		var tr *flowrtt.Tracker
+		switch {
+		case crec.Dir == netem.DirOut && p.IsData():
+			tr = byFlow[p.Flow]
+			if tr == nil {
+				tr = flowrtt.NewTracker(p.Flow)
+				byFlow[p.Flow] = tr
+				trackers = append(trackers, tr)
+			}
+		case crec.Dir == netem.DirIn:
+			tr = byFlow[p.Flow.Reverse()]
+		}
+		if tr != nil {
+			tr.Observe(&crec)
+		}
 	}
-	capt := pcap.ToCapture(records, ip)
 
 	var out []FlowSummary
-	for _, flow := range flowrtt.Flows(capt.Records) {
-		info, err := flowrtt.Analyze(capt.Records, flow)
-		if err != nil {
-			continue
+	for _, tr := range trackers {
+		if info, err := tr.Finish(); err == nil {
+			out = append(out, summarizeFlow(info))
 		}
-		s := FlowSummary{
-			SrcIP:             ipString(uint32(flow.SrcAddr)),
-			SrcPort:           uint16(flow.SrcPort),
-			DstIP:             ipString(uint32(flow.DstAddr)),
-			DstPort:           uint16(flow.DstPort),
-			Duration:          info.Duration(),
-			BytesSent:         info.BytesSent,
-			BytesAcked:        info.BytesAcked,
-			ThroughputBps:     info.ThroughputBps(),
-			SlowStartBps:      info.SlowStartThroughputBps(),
-			HasRetransmit:     info.HasRetransmit,
-			FirstRetransmitAt: time.Duration(info.FirstRetransmitAt),
-			RTTSamples:        len(info.SlowStart),
-		}
-		if fv, ferr := FeaturesFromRTTs(info.SlowStartRTTs(), 0); ferr == nil {
-			s.Features = fv
-			s.FeaturesValid = true
-		}
-		out = append(out, s)
 	}
 	return out, nil
+}
+
+// summarizeFlow renders one flow's completed analysis.
+func summarizeFlow(info *flowrtt.FlowInfo) FlowSummary {
+	flow := info.Flow
+	s := FlowSummary{
+		SrcIP:             ipString(uint32(flow.SrcAddr)),
+		SrcPort:           uint16(flow.SrcPort),
+		DstIP:             ipString(uint32(flow.DstAddr)),
+		DstPort:           uint16(flow.DstPort),
+		Duration:          info.Duration(),
+		BytesSent:         info.BytesSent,
+		BytesAcked:        info.BytesAcked,
+		ThroughputBps:     info.ThroughputBps(),
+		SlowStartBps:      info.SlowStartThroughputBps(),
+		HasRetransmit:     info.HasRetransmit,
+		FirstRetransmitAt: time.Duration(info.FirstRetransmitAt),
+		RTTSamples:        len(info.SlowStart),
+	}
+	if fv, ferr := FeaturesFromRTTs(info.SlowStartRTTs(), 0); ferr == nil {
+		s.Features = fv
+		s.FeaturesValid = true
+	}
+	return s
 }
 
 // SummarizePcapFile is SummarizePcap over a file path.

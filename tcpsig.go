@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"sort"
 	"time"
 
 	"tcpsig/internal/checkpoint"
@@ -216,6 +217,14 @@ type FlowVerdict struct {
 	// flows failing validity filters (then Verdict.Reason is non-empty and
 	// Confidence is degraded); Verdict.Class is -1 when nothing could be
 	// classified at all.
+	//
+	// Verdict.Flow is the flow's analysis as of its verdict. Its
+	// slow-start fields (SlowStart, HasRetransmit, FirstRetransmitAt,
+	// SlowStartBytesAcked, FirstDataAt) are final. For a flow that
+	// retransmitted, the whole-flow fields stop at the first
+	// retransmission: Samples, AckCurve, BytesSent and LastDataAt are
+	// frozen there and BytesAcked is unset. SummarizePcap gives the
+	// whole-flow view.
 	Verdict Verdict
 
 	// Err is non-nil when the flow failed validity filters; match it with
@@ -239,9 +248,13 @@ func (c *Classifier) ClassifyPcapFile(path string, serverIPv4 string) ([]FlowVer
 // ClassifyPcap is ClassifyPcapFile reading from r. The capture is decoded
 // in one pass and fed record by record through the streaming flow table
 // (internal/stream), so memory scales with the number of flows, not the
-// trace length. A trace that is cut off or corrupted partway through still
-// yields verdicts for the flows read up to that point, alongside an error
-// matching ErrCorruptTrace.
+// trace length. A flow is classified the moment its slow start ends, as
+// `ccsig serve` does, and its later records cost one lookup each; flows
+// that never retransmit are classified at EOF. Results are in
+// first-appearance order, and FlowVerdict.Verdict documents which fields
+// of Verdict.Flow are final. A trace that is cut off or corrupted partway
+// through still yields verdicts for the flows read up to that point,
+// alongside an error matching ErrCorruptTrace.
 func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict, error) {
 	ip, err := parseIPv4(serverIPv4)
 	if err != nil {
@@ -252,12 +265,8 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 		results []stream.FlowResult
 		readErr error
 	)
-	// FullInfo mode: verdicts are computed at Flush from each flow's
-	// complete analysis, exactly matching batch ClassifyTrace, and emitted
-	// in first-appearance order.
 	table := stream.NewTable(stream.Config{
 		Classifier: c.inner,
-		FullInfo:   true,
 		Emit:       func(res stream.FlowResult) { results = append(results, res) },
 	})
 	for {
@@ -273,6 +282,9 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 		table.Observe(&crec)
 	}
 	table.Flush()
+	// Early verdicts arrive in slow-start-end order; Seq restores
+	// first-appearance order.
+	sort.Slice(results, func(i, j int) bool { return results[i].Seq < results[j].Seq })
 	var out []FlowVerdict
 	for _, res := range results {
 		out = append(out, FlowVerdict{
@@ -288,15 +300,16 @@ func (c *Classifier) ClassifyPcap(r io.Reader, serverIPv4 string) ([]FlowVerdict
 }
 
 // ClassifyCapture classifies every flow of an in-memory emulator capture.
-// Like ClassifyPcap it is a thin consumer of the streaming flow table, and
-// mirrors core.ClassifyCapture's contract: invalid flows land in the error
-// map, and flows that still produced a degraded verdict appear in both.
+// Like ClassifyPcap it is a thin consumer of the streaming flow table,
+// classifying each flow when its slow start ends, with the same
+// Verdict.Flow contract (see FlowVerdict.Verdict). It mirrors
+// core.ClassifyCapture's contract: invalid flows land in the error map,
+// and flows that still produced a degraded verdict appear in both.
 func (c *Classifier) ClassifyCapture(capt *netem.Capture) (map[netem.FlowKey]Verdict, map[netem.FlowKey]error) {
 	verdicts := make(map[netem.FlowKey]Verdict)
 	errs := make(map[netem.FlowKey]error)
 	table := stream.NewTable(stream.Config{
 		Classifier: c.inner,
-		FullInfo:   true,
 		Emit: func(res stream.FlowResult) {
 			if res.Err != nil {
 				errs[res.Flow] = res.Err
