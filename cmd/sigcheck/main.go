@@ -1,5 +1,5 @@
 // Command sigcheck runs the repo's determinism, numeric-safety,
-// concurrency-safety, and bounded-growth analyzers (see internal/analysis and
+// error-taxonomy and lock-discipline analyzers (see internal/analysis and
 // DESIGN.md "Determinism & numeric invariants"). It supports two modes:
 //
 //	go run ./cmd/sigcheck              # standalone over ./..., non-test files
@@ -7,17 +7,11 @@
 //	go vet -vettool=$(which sigcheck) ./... # vet tool, includes test files
 //
 // In standalone mode package patterns are resolved with the go command
-// (defaulting to ./..., which covers cmd/... as well as internal/...),
-// matched packages are type-checked from source and analyzed in dependency
-// order so cross-package facts flow from imported packages to importers;
-// the exit status is nonzero when any analyzer reports a finding. As a vet
-// tool it speaks the cmd/go unitchecker .cfg protocol, with facts carried
-// between compilation units in .vetx files.
-//
-// The -only and -skip flags narrow the analyzer set in standalone mode
-// (comma-separated names; -list prints the roster). Vet mode always runs
-// every analyzer: cmd/go caches results keyed by the tool's version, so a
-// per-run analyzer selection would poison the cache.
+// (defaulting to ./..., which covers cmd/... as well as internal/...) and
+// the matched packages are type-checked from source and analyzed one by
+// one; the exit status is nonzero when any analyzer reports a finding. As
+// a vet tool it speaks the cmd/go unitchecker .cfg protocol. Every mode
+// runs every analyzer; -list prints the roster.
 package main
 
 import (
@@ -27,11 +21,9 @@ import (
 	"strings"
 
 	"tcpsig/internal/analysis"
-	"tcpsig/internal/analysis/atomicmix"
-	"tcpsig/internal/analysis/boundedgrowth"
 	"tcpsig/internal/analysis/errtaxonomy"
 	"tcpsig/internal/analysis/floatsafe"
-	"tcpsig/internal/analysis/goroutinesafe"
+	"tcpsig/internal/analysis/lockleak"
 	"tcpsig/internal/analysis/maporder"
 	"tcpsig/internal/analysis/simdeterminism"
 )
@@ -42,24 +34,20 @@ import (
 // results for unchanged packages. The convention is v<major>-<suite>:
 // major increments with the analyzer roster, the suffix names what the
 // suite now covers.
-const version = "v4-concurrency-suite"
+const version = "v5-lockleak-suite"
 
 var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
 	maporder.Analyzer,
 	floatsafe.Analyzer,
 	errtaxonomy.Analyzer,
-	goroutinesafe.Analyzer,
-	atomicmix.Analyzer,
-	boundedgrowth.Analyzer,
+	lockleak.Analyzer,
 }
 
 func main() {
 	versionFlag := flag.String("V", "", "print version and exit (vet tool protocol)")
 	flagsFlag := flag.Bool("flags", false, "print flag descriptions as JSON and exit (vet tool protocol)")
 	listFlag := flag.Bool("list", false, "print the analyzer roster and exit")
-	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (standalone mode)")
-	skipFlag := flag.String("skip", "", "comma-separated analyzer names to skip (standalone mode)")
 	flag.Usage = usage
 	flag.Parse()
 	if *versionFlag != "" {
@@ -67,8 +55,7 @@ func main() {
 		return
 	}
 	if *flagsFlag {
-		// cmd/go queries the tool's flags; sigcheck exposes none to vet —
-		// see the package comment for why -only/-skip are standalone-only.
+		// cmd/go queries the tool's flags; sigcheck exposes none to vet.
 		fmt.Println("[]")
 		return
 	}
@@ -83,10 +70,6 @@ func main() {
 		os.Exit(analysis.RunUnitchecker(args[0], analyzers))
 	}
 
-	selected, err := selectAnalyzers(*onlyFlag, *skipFlag)
-	if err != nil {
-		fatal(err)
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -98,69 +81,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := analysis.RunPackages(pkgs, selected)
-	if err != nil {
-		fatal(err)
+	found := false
+	for _, pkg := range pkgs {
+		findings, err := analysis.RunPackage(pkg, analyzers)
+		if err != nil {
+			fatal(err)
+		}
+		for _, f := range findings {
+			fmt.Fprintln(os.Stderr, f)
+			found = true
+		}
 	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
+	if found {
 		os.Exit(1)
 	}
-}
-
-// selectAnalyzers applies -only and -skip to the roster. Unknown names are
-// an error: a typo that silently ran nothing would read as a clean pass.
-func selectAnalyzers(only, skip string) ([]*analysis.Analyzer, error) {
-	if only != "" && skip != "" {
-		return nil, fmt.Errorf("-only and -skip are mutually exclusive")
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range analyzers {
-		byName[a.Name] = a
-	}
-	parse := func(list string) (map[string]bool, error) {
-		set := map[string]bool{}
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if byName[name] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (run sigcheck -list for the roster)", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	switch {
-	case only != "":
-		set, err := parse(only)
-		if err != nil {
-			return nil, err
-		}
-		var out []*analysis.Analyzer
-		for _, a := range analyzers {
-			if set[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	case skip != "":
-		set, err := parse(skip)
-		if err != nil {
-			return nil, err
-		}
-		var out []*analysis.Analyzer
-		for _, a := range analyzers {
-			if !set[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	}
-	return analyzers, nil
 }
 
 func printRoster(w *os.File) {
@@ -171,7 +105,7 @@ func printRoster(w *os.File) {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: sigcheck [-only names | -skip names] [package...]\n\nAnalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: sigcheck [-list] [package...]\n\nAnalyzers:\n")
 	printRoster(os.Stderr)
 }
 

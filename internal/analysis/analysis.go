@@ -46,12 +46,6 @@ type Analyzer struct {
 
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (interface{}, error)
-
-	// FactTypes lists the Fact types this analyzer exports, one zero
-	// pointer value per type. Drivers use the list to serialize facts
-	// across package boundaries; an analyzer that exports an unlisted
-	// fact type will not see it survive a unitchecker round-trip.
-	FactTypes []Fact
 }
 
 // IgnoreAnalyzerName is the reserved analyzer name under which violations
@@ -73,8 +67,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
-
-	facts *Facts
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -120,17 +112,8 @@ func (f Finding) String() string {
 }
 
 // RunPackage applies every analyzer to pkg, filters findings suppressed by
-// //sigcheck:ignore comments, and returns them sorted by position. Facts
-// stay package-local; use RunPackageFacts to thread a shared store.
+// //sigcheck:ignore comments, and returns them sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunPackageFacts(pkg, analyzers, nil)
-}
-
-// RunPackageFacts is RunPackage with a cross-package fact store: analyzers
-// observe the facts their dependencies exported into facts and add their
-// own. Drivers must analyze packages in dependency order (imports first)
-// for facts to flow. A nil store disables fact exchange.
-func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Finding, error) {
 	ignores, bare := collectIgnores(pkg.Fset, pkg.Files)
 	insp := inspector.New(pkg.Files)
 	var out []Finding
@@ -153,7 +136,6 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Findi
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 			Inspect:   insp,
-			facts:     facts,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
@@ -188,15 +170,9 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Findi
 type ignoreSet map[string]map[int][]string
 
 func (s ignoreSet) match(analyzer string, posn token.Position) bool {
-	lines := s[posn.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, names := range [][]string{lines[posn.Line]} {
-		for _, n := range names {
-			if n == "" || n == analyzer {
-				return true
-			}
+	for _, n := range s[posn.Filename][posn.Line] {
+		if n == "" || n == analyzer {
+			return true
 		}
 	}
 	return false

@@ -5,11 +5,8 @@
 // A fixture lives in testdata/src/<importpath>/ and is an ordinary Go
 // package importing the standard library (resolved with the source
 // importer, so no go command is needed) or sibling fixture packages under
-// the same testdata/src tree. Sibture imports are loaded recursively and
-// analyzed first, so facts exported by a dependency fixture are visible
-// when the analyzer runs on its importer — which is how the cross-package
-// Facts mechanism is tested. A line expecting a diagnostic carries a
-// trailing comment of the form
+// the same testdata/src tree, which are loaded recursively. A line
+// expecting a diagnostic carries a trailing comment of the form
 //
 //	x := a / b // want `unguarded division`
 //
@@ -69,16 +66,14 @@ func RunWithSuggestedFixes(t *testing.T, testdata string, a *analysis.Analyzer, 
 }
 
 // loader resolves fixture packages (testdata/src/<path>) recursively and
-// analyzes each exactly once, threading one fact store through the run so
-// dependency fixtures' facts are visible to their importers. Non-fixture
-// imports fall through to the standard library source importer.
+// analyzes each exactly once. Non-fixture imports fall through to the
+// standard library source importer.
 type loader struct {
 	t        *testing.T
 	testdata string
 	a        *analysis.Analyzer
 	fset     *token.FileSet
 	std      types.Importer
-	facts    *analysis.Facts
 	pkgs     map[string]*analysis.Package
 	findings map[string][]analysis.Finding
 	loading  map[string]bool
@@ -92,7 +87,6 @@ func newLoader(t *testing.T, testdata string, a *analysis.Analyzer) *loader {
 		a:        a,
 		fset:     fset,
 		std:      importer.ForCompiler(fset, "source", nil),
-		facts:    analysis.NewFacts([]*analysis.Analyzer{a}),
 		pkgs:     map[string]*analysis.Package{},
 		findings: map[string][]analysis.Finding{},
 		loading:  map[string]bool{},
@@ -154,7 +148,7 @@ func (l *loader) load(pkgpath string) (*analysis.Package, []analysis.Finding) {
 		l.t.Errorf("fixture %s: %v", pkgpath, err)
 		return nil, nil
 	}
-	findings, err := analysis.RunPackageFacts(pkg, []*analysis.Analyzer{l.a}, l.facts)
+	findings, err := analysis.RunPackage(pkg, []*analysis.Analyzer{l.a})
 	if err != nil {
 		l.t.Errorf("fixture %s: %v", pkgpath, err)
 		return nil, nil

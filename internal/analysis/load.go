@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one loaded, type-checked package.
@@ -23,11 +22,6 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-
-	// Imports lists the import paths of direct dependencies; the driver
-	// uses it to analyze packages in dependency order so facts flow from
-	// imported packages to their importers.
-	Imports []string
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -36,7 +30,6 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -54,7 +47,7 @@ type listedPackage struct {
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,CgoFiles,Imports,Export,Standard,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly,Incomplete,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -113,63 +106,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Imports = t.Imports
 		pkgs = append(pkgs, pkg)
 	}
-	return SortByImports(pkgs), nil
-}
-
-// SortByImports orders pkgs so every package follows the packages it
-// imports (dependency order), breaking ties by import path for
-// deterministic driver output. Packages outside pkgs are ignored; cycles
-// cannot occur in valid Go programs.
-func SortByImports(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	sorted := make([]*Package, 0, len(pkgs))
-	state := make(map[string]int, len(pkgs)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if state[p.PkgPath] != 0 {
-			return
-		}
-		state[p.PkgPath] = 1
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p.PkgPath] = 2
-		sorted = append(sorted, p)
-	}
-	// Visit in sorted-path order so the topological order is stable.
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.PkgPath)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		visit(byPath[path])
-	}
-	return sorted
-}
-
-// RunPackages analyzes every package in dependency order with a shared
-// fact store, so facts exported by one package are visible to its
-// importers, and returns all findings concatenated in package order.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	facts := NewFacts(analyzers)
-	var out []Finding
-	for _, pkg := range SortByImports(pkgs) {
-		findings, err := RunPackageFacts(pkg, analyzers, facts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, findings...)
-	}
-	return out, nil
+	return pkgs, nil
 }
 
 // TypeCheck type-checks a parsed package and wraps it for RunPackage.

@@ -22,19 +22,17 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
 // RunUnitchecker implements one invocation of the cmd/go vet-tool protocol:
-// read the .cfg file, analyze the unit, print findings to stderr, and write
-// the .vetx output file carrying the unit's exported facts (its own plus
-// those inherited from its dependencies, so facts are transitive). A
-// VetxOnly unit — a dependency of the packages being vetted — is analyzed
-// for facts but its diagnostics are suppressed. The returned exit code is 0
-// for a clean unit and 1 when there are findings.
+// read the .cfg file, analyze the unit, and print findings to stderr. The
+// analyzers exchange no facts, so the .vetx output cmd/go requires is
+// always empty, and a VetxOnly unit — a dependency of the packages being
+// vetted — needs no analysis at all. The returned exit code is 0 for a
+// clean unit and 1 when there are findings.
 func RunUnitchecker(cfgFile string, analyzers []*Analyzer) int {
 	exit, err := runUnit(cfgFile, analyzers)
 	if err != nil {
@@ -54,12 +52,14 @@ func runUnit(cfgFile string, analyzers []*Analyzer) (int, error) {
 		return 1, fmt.Errorf("parsing %s: %w", cfgFile, err)
 	}
 	// cmd/go requires the facts file to exist even when the unit fails to
-	// analyze, so write an empty one up front; it is rewritten with real
-	// facts after a successful run.
+	// analyze, so write it before anything can fail.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			return 1, err
 		}
+	}
+	if cfg.VetxOnly {
+		return 0, nil
 	}
 
 	fset := token.NewFileSet()
@@ -92,35 +92,9 @@ func runUnit(cfgFile string, analyzers []*Analyzer) (int, error) {
 		return 1, err
 	}
 
-	// Seed the fact store with the dependencies' facts. The .vetx files
-	// cmd/go hands us are written by this same tool, so a decode failure
-	// is a real error, not a version skew to shrug off.
-	facts := NewFacts(analyzers)
-	for path, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			return 1, fmt.Errorf("reading facts of %s: %w", path, err)
-		}
-		if err := facts.Decode(data); err != nil {
-			return 1, fmt.Errorf("facts of %s: %w", path, err)
-		}
-	}
-
-	findings, err := RunPackageFacts(pkg, analyzers, facts)
+	findings, err := RunPackage(pkg, analyzers)
 	if err != nil {
 		return 1, err
-	}
-	if cfg.VetxOutput != "" {
-		enc, err := facts.Encode()
-		if err != nil {
-			return 1, err
-		}
-		if err := os.WriteFile(cfg.VetxOutput, enc, 0o666); err != nil {
-			return 1, err
-		}
-	}
-	if cfg.VetxOnly {
-		return 0, nil
 	}
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "%s\n", f)

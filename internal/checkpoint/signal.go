@@ -41,7 +41,6 @@ func NotifyInterrupt(drain bool, cleanup func()) *Interrupt {
 	intr := &Interrupt{}
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	//sigcheck:ignore goroutinesafe -- the watcher must outlive this call: it blocks on the signal channel for the whole process lifetime and exits the process itself
 	go func() {
 		sig := <-ch
 		if drain {

@@ -90,7 +90,6 @@ func NewPump(t *Table, buffer int) *Pump {
 	}
 	p.cur = <-p.free
 	p.wg.Add(1)
-	//sigcheck:ignore goroutinesafe -- the drain goroutine's lifetime is the pump's, not this call's: it exits when Close closes the channel, and Close joins it via wg.Wait
 	go p.drain()
 	return p
 }

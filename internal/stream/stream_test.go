@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -379,11 +380,13 @@ func TestPumpBackpressure(t *testing.T) {
 // flows in observation order: the flushed verdicts, sorted by Seq, must
 // name the flows in feed order, and the table must have observed exactly
 // the accepted records. Partial hand-offs land at irregular points.
+// Close joins the drain goroutine, so none is left once it returns.
 func TestPumpSlabBoundaries(t *testing.T) {
 	clf := trainToy(t)
 	for _, buffer := range []int{1, 255, 256, 257} {
 		var got []FlowResult
 		tab := NewTable(Config{Classifier: clf, Emit: func(r FlowResult) { got = append(got, r) }})
+		base := runtime.NumGoroutine()
 		p := NewPump(tab, buffer)
 		const n = 3*257 + 5
 		for i := 0; i < n; i++ {
@@ -396,6 +399,7 @@ func TestPumpSlabBoundaries(t *testing.T) {
 			}
 		}
 		p.Close()
+		waitForGoroutines(t, base)
 		tab.Flush()
 
 		if len(got) != n {
@@ -515,5 +519,19 @@ func TestTableMetrics(t *testing.T) {
 	}
 	if vals["stream.flows_live"] != 0 || vals["stream.flows_resident"] != 1 {
 		t.Fatalf("flows_live/resident = %v/%v, want 0/1 (tombstone)", vals["stream.flows_live"], vals["stream.flows_resident"])
+	}
+}
+
+// waitForGoroutines yields until runtime.NumGoroutine is back to base. A
+// goroutine that has signalled its join may not have returned yet, so one
+// read would race it. The bound counts yields rather than wall-clock time,
+// which simdeterminism keeps out of this package, tests included.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1_000_000 {
+			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -130,8 +131,11 @@ func TestAdminCPUProfile(t *testing.T) {
 	}
 }
 
-// TestServerStartClose binds a real port, hits it, and shuts down.
+// TestServerStartClose binds a real port, hits it, and shuts down. Close
+// also ends the Serve goroutine and the served connection's; it does not
+// wait for them, so the test polls.
 func TestServerStartClose(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s := &Server{}
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
@@ -148,9 +152,24 @@ func TestServerStartClose(t *testing.T) {
 	if _, err := client.Get("http://" + addr + "/healthz"); err == nil {
 		t.Error("server still answering after Close")
 	}
+	waitForGoroutines(t, base)
 	var nilServer *Server
 	if err := nilServer.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+}
+
+// waitForGoroutines polls runtime.NumGoroutine until it is back to base,
+// failing after a second. A goroutine that has been told to stop may not
+// have returned yet, so one read would race it.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want at most %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +62,11 @@ func (l *Live) Scrape() []obs.Metric {
 	}
 	l.pending = nil
 	snap := l.agg.Snapshot()
+	// Snapshot's histogram Counts alias the aggregate, which the next
+	// Scrape merges into while readers of the cached copy hold no lock.
+	for i := range snap {
+		snap[i].Counts = slices.Clone(snap[i].Counts)
+	}
 	l.mu.Unlock()
 	l.cached.Store(&snap)
 	return snap
@@ -94,7 +100,6 @@ func (l *Live) StartScraper(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	//sigcheck:ignore goroutinesafe -- the scraper runs until the returned stop func is called, which joins via wg.Wait; its lifetime is the admin server's, not this call's
 	go func() {
 		defer wg.Done()
 		t := time.NewTicker(interval)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -111,3 +112,16 @@ func TestLiveConcurrent(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// The stop func returned by StartScraper joins the scraper goroutine.
+func TestScraperStopJoins(t *testing.T) {
+	l := NewLive()
+	base := runtime.NumGoroutine()
+	stop := l.StartScraper(time.Millisecond)
+	if runtime.NumGoroutine() <= base {
+		t.Fatal("StartScraper launched no goroutine")
+	}
+	l.Fold(runSnapshot(1, 0.5))
+	stop()
+	waitForGoroutines(t, base)
+}

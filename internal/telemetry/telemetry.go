@@ -62,7 +62,6 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.ln = ln
 	s.srv = &http.Server{Handler: s.handler(), ReadHeaderTimeout: 10 * time.Second}
-	//sigcheck:ignore goroutinesafe -- the HTTP server serves until Close; its lifetime is the admin server's, not this call's
 	go func() {
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			slog.Warn("telemetry: admin server stopped", "err", err)
